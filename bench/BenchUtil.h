@@ -10,10 +10,13 @@
 #ifndef RUSTSIGHT_BENCH_BENCHUTIL_H
 #define RUSTSIGHT_BENCH_BENCHUTIL_H
 
+#include "support/Json.h"
+
 #include <benchmark/benchmark.h>
 
 #include <cstdio>
 #include <string>
+#include <thread>
 
 namespace rs::bench {
 
@@ -31,6 +34,22 @@ inline void compare(const std::string &What, unsigned long long Paper,
                     unsigned long long Measured) {
   std::printf("  %-52s paper: %8llu   reproduced: %8llu   %s\n", What.c_str(),
               Paper, Measured, Paper == Measured ? "[match]" : "[DIFFERS]");
+}
+
+/// Writes a "machine" object — hardware threads, build type, compiler —
+/// into a trajectory point, so numbers from different machines or builds
+/// are not mistaken for comparable ones.
+inline void writeMachineFacts(JsonWriter &W) {
+  W.key("machine");
+  W.beginObject();
+  W.field("nproc", int64_t(std::thread::hardware_concurrency()));
+#ifdef RS_BUILD_TYPE
+  W.field("build_type", RS_BUILD_TYPE);
+#endif
+#ifdef RS_COMPILER
+  W.field("compiler", RS_COMPILER);
+#endif
+  W.endObject();
 }
 
 /// Standard main: print the experiment via \p Print, then run benchmarks.

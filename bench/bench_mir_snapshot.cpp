@@ -160,6 +160,7 @@ static void printExperiment() {
   W.value(Speedup);
   W.field("source_bytes", int64_t(C.SourceBytes));
   W.field("snapshot_bytes", int64_t(C.SnapshotBytes));
+  writeMachineFacts(W);
   W.endObject();
   std::ofstream("BENCH_mir_snapshot.json") << W.str() << "\n";
   std::printf("\n  trajectory point written to BENCH_mir_snapshot.json\n\n");

@@ -250,18 +250,17 @@ LinkedCorpus LinkedCorpus::build(std::vector<ModuleFacts> Facts) {
   for (uint32_t Comp = 0; Comp != Sccs.numComponents(); ++Comp) {
     const BitVec &R = Reach[Comp];
     uint64_t H = fnv1a64("rslink-key-v1");
-    // Global ids ascend in definition order, so folding in id order is a
-    // pure function of the corpus content + file order.
+    // Global ids ascend in definition order and forEach visits set bits in
+    // ascending order, so the fold is a pure function of the corpus content
+    // + file order — and costs the reachable set, not all N ids.
     std::set<std::string_view> Unres;
-    for (uint32_t G = 0; G != N; ++G) {
-      if (!R.test(G))
-        continue;
-      const FunctionFacts &FF = C.facts(G);
+    R.forEach([&](size_t G) {
+      const FunctionFacts &FF = C.facts(static_cast<uint32_t>(G));
       H = foldStr(FF.Name, H);
       H = foldU64(FF.BodyFp, H);
       for (const std::string &U : Unresolved[G])
         Unres.insert(U);
-    }
+    });
     H = foldSep(H);
     for (std::string_view U : Unres)
       H = foldStr(U, H);
@@ -421,20 +420,31 @@ LinkResult rs::analysis::solveLink(LinkedCorpus Corpus, const LinkOptions &Opts,
   const LinkedCorpus &LC = R.Corpus;
   uint32_t NumMods = static_cast<uint32_t>(LC.modules().size());
 
-  // Names some other module's analysis can observe.
+  // Names some other module's analysis can observe, and the modules that
+  // define their winning definitions. Only those "contributing" modules'
+  // summaries can ever enter the environment, so every other module is
+  // never probed in the DB and never summarized — its summaries would be
+  // computed only to be thrown away.
   std::set<std::string, std::less<>> Referenced;
+  std::vector<char> Contributes(NumMods, 0);
   for (uint32_t M = 0; M != NumMods; ++M)
     for (const auto &[Name, Gid] : LC.externRefs(M)) {
-      (void)Gid;
       Referenced.insert(Name);
+      Contributes[LC.ref(Gid).Module] = 1;
     }
+  for (uint32_t M = 0; M != NumMods; ++M)
+    R.Stats.ModulesUnreferenced += !Contributes[M];
 
   // DB probe: a module skips summarization only when *every* function hits
-  // (summarization is per-module, so partial coverage saves nothing).
+  // (summarization is per-module, so partial coverage saves nothing). A
+  // contributing module defines at least one function, so "every" is
+  // never vacuous.
   std::vector<char> FromDb(NumMods, 0);
   std::vector<std::vector<ExternalFunctionInfo>> DbInfo(NumMods);
   if (Db.Lookup) {
     for (uint32_t M = 0; M != NumMods; ++M) {
+      if (!Contributes[M])
+        continue;
       const ModuleFacts &Facts = LC.modules()[M];
       std::vector<ExternalFunctionInfo> Loaded;
       Loaded.reserve(Facts.Functions.size());
@@ -455,12 +465,9 @@ LinkResult rs::analysis::solveLink(LinkedCorpus Corpus, const LinkOptions &Opts,
           break;
         }
       }
-      if (All && !Facts.Functions.empty()) {
+      if (All) {
         FromDb[M] = 1;
         DbInfo[M] = std::move(Loaded);
-        ++R.Stats.ModulesFromDb;
-      } else if (Facts.Functions.empty()) {
-        FromDb[M] = 1; // Nothing to summarize either way.
         ++R.Stats.ModulesFromDb;
       }
     }
@@ -494,7 +501,7 @@ LinkResult rs::analysis::solveLink(LinkedCorpus Corpus, const LinkOptions &Opts,
   auto Schedule = [&]() {
     std::vector<uint32_t> Sched;
     for (uint32_t M = 0; M != NumMods; ++M) {
-      if (FromDb[M])
+      if (FromDb[M] || !Contributes[M])
         continue;
       if (First) {
         Sched.push_back(M);
@@ -522,7 +529,7 @@ LinkResult rs::analysis::solveLink(LinkedCorpus Corpus, const LinkOptions &Opts,
     std::set<std::string, std::less<>> NewChanged;
     for (ModuleSummaries &MS : Results) {
       uint32_t M = MS.ModuleIdx;
-      if (M >= NumMods || FromDb[M])
+      if (M >= NumMods || FromDb[M] || !Contributes[M])
         continue;
       if (!MS.Complete)
         R.Converged = false;

@@ -303,6 +303,9 @@ struct LinkStats {
   unsigned Rounds = 0;             ///< Summarization rounds actually run.
   unsigned ModulesSummarized = 0;  ///< Module summarizations across rounds.
   unsigned ModulesFromDb = 0;      ///< Modules fully served by the DB.
+  /// Modules no other module references (they define no winning function
+  /// another module calls): never probed in the DB, never summarized.
+  unsigned ModulesUnreferenced = 0;
   uint64_t DbHits = 0;
   uint64_t DbMisses = 0;
   uint64_t DbStores = 0;
@@ -327,7 +330,11 @@ struct LinkResult {
 using SummarizeRoundFn = std::function<std::vector<ModuleSummaries>(
     const std::vector<uint32_t> &ModuleIdxs, const ExternalSummaries &Env)>;
 
-/// Runs the deterministic link fixpoint over \p Corpus: seeds the
+/// Runs the deterministic link fixpoint over \p Corpus, restricted to the
+/// contributing modules — those defining a winning function some other
+/// module references, the only ones whose summaries can enter the
+/// environment. The rest are never probed in the DB and never handed to
+/// \p Summarize (counted in LinkStats::ModulesUnreferenced). Seeds the
 /// environment from the summary DB (modules whose every function hits skip
 /// summarization entirely — the "warm runs skip straight to dirty slices"
 /// path), then iterates Jacobi rounds through \p Summarize until no

@@ -742,6 +742,206 @@ rs::engine::deserializeWireFileReport(std::string_view Payload) {
 }
 
 //===----------------------------------------------------------------------===//
+// Module blobs: a MIR snapshot followed by the module's link facts
+//===----------------------------------------------------------------------===//
+//
+// The blob stored under snapshotCacheKey(Fp) is a MIR snapshot, optionally
+// followed by a facts section holding the module's link facts, so a warm
+// linked run goes from source fingerprint to link facts without decoding
+// the module. The engine composes the two halves (rs_mir cannot depend on
+// the link layer); mir::snapshot::encodedSize() finds the seam.
+//
+// Facts section (integers little-endian):
+//   magic "RSLF" (4), version u32, fingerprint u64, payload size u64,
+//   payload checksum u64, then the payload: u32 function count, and per
+//   function its name, u32 argument count, u64 body fingerprint, u32 callee
+//   count and the callee names (every string a u32 length plus bytes).
+//
+// The path is not stored: like report entries, facts re-anchor at whatever
+// path the content shows up at. A section that is absent, truncated,
+// corrupt, from another version or for another fingerprint reads as
+// absent, and the module takes the cold path (decode or parse, collect,
+// rewrite the blob). Only link-clean modules — clean parse, verifier pass —
+// are ever snapshotted, so an intact blob already implies the module can
+// join the link.
+
+namespace {
+
+/// Bump on any layout change, and on any change to what
+/// analysis::collectModuleFacts computes (the body fingerprint recipe,
+/// callee extraction): stale sections then read as absent.
+constexpr uint32_t FactsSectionVersion = 1;
+constexpr char FactsMagic[4] = {'R', 'S', 'L', 'F'};
+constexpr size_t FactsHeaderSize = 4 + 4 + 8 + 8 + 8;
+
+void putLE(std::string &Out, uint64_t V, unsigned Bytes) {
+  for (unsigned I = 0; I != Bytes; ++I)
+    Out.push_back(static_cast<char>((V >> (8 * I)) & 0xff));
+}
+
+void putBytes(std::string &Out, std::string_view S) {
+  putLE(Out, S.size(), 4);
+  Out += S;
+}
+
+/// Bounds-checked little-endian reader; any overrun latches Ok = false.
+struct ByteReader {
+  std::string_view B;
+  size_t Pos = 0;
+  bool Ok = true;
+
+  uint64_t get(unsigned Bytes) {
+    if (!Ok || B.size() - Pos < Bytes) {
+      Ok = false;
+      return 0;
+    }
+    uint64_t V = 0;
+    for (unsigned I = 0; I != Bytes; ++I)
+      V |= uint64_t(static_cast<unsigned char>(B[Pos + I])) << (8 * I);
+    Pos += Bytes;
+    return V;
+  }
+
+  std::string_view bytes() {
+    uint64_t Len = get(4);
+    if (!Ok || B.size() - Pos < Len) {
+      Ok = false;
+      return {};
+    }
+    std::string_view S = B.substr(Pos, Len);
+    Pos += Len;
+    return S;
+  }
+};
+
+std::string encodeFactsSection(const analysis::ModuleFacts &Facts,
+                               uint64_t Fp) {
+  std::string Payload;
+  putLE(Payload, Facts.Functions.size(), 4);
+  for (const analysis::FunctionFacts &FF : Facts.Functions) {
+    putBytes(Payload, FF.Name);
+    putLE(Payload, FF.NumArgs, 4);
+    putLE(Payload, FF.BodyFp, 8);
+    putLE(Payload, FF.Callees.size(), 4);
+    for (const std::string &C : FF.Callees)
+      putBytes(Payload, C);
+  }
+  std::string Out(FactsMagic, 4);
+  putLE(Out, FactsSectionVersion, 4);
+  putLE(Out, Fp, 8);
+  putLE(Out, Payload.size(), 8);
+  putLE(Out, hashCanonicalBytes(Payload), 8);
+  return Out + Payload;
+}
+
+std::optional<analysis::ModuleFacts>
+decodeFactsSection(std::string_view Bytes, uint64_t Fp,
+                   const std::string &Path) {
+  if (Bytes.size() < FactsHeaderSize ||
+      std::memcmp(Bytes.data(), FactsMagic, 4) != 0)
+    return std::nullopt;
+  ByteReader H{Bytes.substr(4, FactsHeaderSize - 4)};
+  uint64_t Version = H.get(4);
+  uint64_t StoredFp = H.get(8);
+  uint64_t Size = H.get(8);
+  uint64_t Checksum = H.get(8);
+  std::string_view Payload = Bytes.substr(FactsHeaderSize);
+  if (!H.Ok || Version != FactsSectionVersion || StoredFp != Fp ||
+      Payload.size() != Size || hashCanonicalBytes(Payload) != Checksum)
+    return std::nullopt;
+
+  ByteReader R{Payload};
+  analysis::ModuleFacts Facts;
+  Facts.Path = Path;
+  uint64_t NumFns = R.get(4);
+  // Every record takes at least 20 bytes; a count beyond that is a lie
+  // that must not drive an allocation.
+  if (NumFns > Payload.size() / 20)
+    return std::nullopt;
+  Facts.Functions.reserve(NumFns);
+  for (uint64_t I = 0; I != NumFns && R.Ok; ++I) {
+    analysis::FunctionFacts FF;
+    FF.Name = std::string(R.bytes());
+    FF.NumArgs = static_cast<unsigned>(R.get(4));
+    FF.BodyFp = R.get(8);
+    uint64_t NumCallees = R.get(4);
+    if (FF.Name.empty() || NumCallees > Payload.size())
+      return std::nullopt;
+    for (uint64_t C = 0; C != NumCallees && R.Ok; ++C)
+      FF.Callees.emplace_back(R.bytes());
+    Facts.Functions.push_back(std::move(FF));
+  }
+  if (!R.Ok || R.Pos != Payload.size())
+    return std::nullopt;
+  return Facts;
+}
+
+/// The two halves of a module blob. A blob without a well-formed snapshot
+/// header is all "snapshot", which snapshot::read then rejects.
+struct ModuleBlobParts {
+  std::string_view Snapshot;
+  std::string_view Facts;
+};
+
+/// The module blob for \p Snapshot (a snapshot of the module whose source
+/// fingerprint is \p Fp) and its link facts.
+std::string composeModuleBlob(std::string Snapshot,
+                              const analysis::ModuleFacts &Facts,
+                              uint64_t Fp) {
+  return Snapshot + encodeFactsSection(Facts, Fp);
+}
+
+ModuleBlobParts splitModuleBlob(std::string_view Blob) {
+  std::optional<size_t> Len = mir::snapshot::encodedSize(Blob);
+  if (!Len)
+    return {Blob, {}};
+  return {Blob.substr(0, *Len), Blob.substr(*Len)};
+}
+
+std::optional<mir::Module> readSnapshotHalf(std::string_view Blob,
+                                            uint64_t Fp) {
+  return mir::snapshot::read(splitModuleBlob(Blob).Snapshot, &Fp);
+}
+
+/// Reads \p Path whole; nullopt for a directory or an unreadable file.
+std::optional<std::string> readSourceFile(const std::string &Path) {
+  std::error_code Ec;
+  if (std::filesystem::is_directory(Path, Ec))
+    return std::nullopt;
+  std::ifstream In(Path);
+  if (!In)
+    return std::nullopt;
+  std::ostringstream Buf;
+  Buf << In.rdbuf();
+  return Buf.str();
+}
+
+/// Parse + verify for the link: only a fully clean module qualifies —
+/// recovered parses carry dropped items a linked summary must not pretend
+/// to cover, and such files fall back to the per-file pipeline, which
+/// reports them with its usual recovery/skip statuses.
+std::optional<mir::Module> parseLinkClean(std::string_view Source,
+                                          const std::string &Path) {
+  try {
+    if (fault::shouldFail("engine.parse"))
+      throw std::runtime_error("injected fault at probe engine.parse");
+    mir::ModuleParse P = mir::Parser::parseRecover(Source, Path);
+    if (!P.Errors.empty())
+      return std::nullopt;
+    if (fault::shouldFail("engine.verify"))
+      throw std::runtime_error("injected fault at probe engine.verify");
+    std::vector<Error> VErr;
+    if (!mir::verifyModule(P.M, VErr))
+      return std::nullopt;
+    return std::move(P.M);
+  } catch (...) {
+    return std::nullopt;
+  }
+}
+
+} // namespace
+
+//===----------------------------------------------------------------------===//
 // The parallel corpus driver
 //===----------------------------------------------------------------------===//
 
@@ -797,10 +997,11 @@ FileReport AnalysisEngine::analyzeFileThroughCacheLinked(
 std::optional<analysis::ModuleFacts>
 AnalysisEngine::collectFileFacts(const std::string &Path) {
   ensureCache();
-  std::optional<mir::Module> M = loadModuleForLink(Path, nullptr, nullptr);
-  if (!M)
+  std::optional<std::string> Source = readSourceFile(Path);
+  if (!Source)
     return std::nullopt;
-  return analysis::collectModuleFacts(*M, Path);
+  return linkFactsFor(*Source, Path, fingerprintSource(*Source),
+                      /*ModuleOut=*/nullptr, /*Decodes=*/nullptr);
 }
 
 std::optional<analysis::ModuleSummaries>
@@ -808,7 +1009,11 @@ AnalysisEngine::summarizeFileForLink(const std::string &Path,
                                      uint32_t ModuleIdx,
                                      const analysis::ExternalSummaries &Env) {
   ensureCache();
-  std::optional<mir::Module> M = loadModuleForLink(Path, nullptr, nullptr);
+  std::optional<std::string> Source = readSourceFile(Path);
+  if (!Source)
+    return std::nullopt;
+  std::optional<mir::Module> M = materializeModule(
+      *Source, Path, fingerprintSource(*Source), /*Decodes=*/nullptr);
   if (!M)
     return std::nullopt;
   try {
@@ -841,8 +1046,7 @@ FileReport AnalysisEngine::analyzeSourceThroughCache(std::string_view Source,
   // string table borrows the mapped bytes until the Module owns its data.
   if (std::optional<sched::ResultCache::BlobRef> Blob =
           Cache->lookupBlobRef(SnapKey)) {
-    if (std::optional<mir::Module> M =
-            mir::snapshot::read(Blob->bytes(), &Fp)) {
+    if (std::optional<mir::Module> M = readSnapshotHalf(Blob->bytes(), Fp)) {
       FileReport R = analyzeParsedModule(*M, Source, Path, nullptr);
       if (R.Status == EngineStatus::Ok)
         Cache->store(Key, serializeFileReport(R));
@@ -906,8 +1110,7 @@ FileReport AnalysisEngine::analyzeFileCached(const std::string &Path,
   uint64_t SnapKey = snapshotCacheKey(Fp);
   if (std::optional<sched::ResultCache::BlobRef> Blob =
           Cache->lookupBlobRef(SnapKey)) {
-    if (std::optional<mir::Module> M =
-            mir::snapshot::read(Blob->bytes(), &Fp)) {
+    if (std::optional<mir::Module> M = readSnapshotHalf(Blob->bytes(), Fp)) {
       FileReport R = analyzeParsedModule(*M, Source, Path, Ext);
       if (R.Status == EngineStatus::Ok)
         Cache->store(Key, serializeFileReport(R));
@@ -925,53 +1128,65 @@ FileReport AnalysisEngine::analyzeFileCached(const std::string &Path,
   return R;
 }
 
-std::optional<mir::Module>
-AnalysisEngine::loadModuleForLink(const std::string &Path,
-                                  std::string *SourceOut, uint64_t *FpOut) {
-  std::error_code Ec;
-  if (std::filesystem::is_directory(Path, Ec))
+std::optional<analysis::ModuleFacts>
+AnalysisEngine::linkFactsFor(std::string_view Source, const std::string &Path,
+                             uint64_t Fp,
+                             std::optional<mir::Module> *ModuleOut,
+                             std::atomic<unsigned> *Decodes) {
+  const uint64_t SnapKey = snapshotCacheKey(Fp);
+  std::optional<mir::Module> M;
+  std::string Snapshot; // The blob's intact snapshot half, reused below.
+  if (Cache)
+    if (std::optional<sched::ResultCache::BlobRef> Blob =
+            Cache->lookupBlobRef(SnapKey)) {
+      ModuleBlobParts Parts = splitModuleBlob(Blob->bytes());
+      if (std::optional<analysis::ModuleFacts> Facts =
+              decodeFactsSection(Parts.Facts, Fp, Path))
+        return Facts;
+      M = mir::snapshot::read(Parts.Snapshot, &Fp);
+      if (M)
+        Snapshot = std::string(Parts.Snapshot);
+    }
+  if (!M)
+    M = parseLinkClean(Source, Path);
+  if (!M)
     return std::nullopt;
-  std::ifstream In(Path);
-  if (!In)
-    return std::nullopt;
-  std::ostringstream Buf;
-  Buf << In.rdbuf();
-  std::string Source = Buf.str();
-  uint64_t Fp = fingerprintSource(Source);
-  uint64_t SnapKey = snapshotCacheKey(Fp);
+  if (Decodes)
+    ++*Decodes;
+  analysis::ModuleFacts Facts = analysis::collectModuleFacts(*M, Path);
+  if (Cache)
+    Cache->storeBlob(SnapKey,
+                     composeModuleBlob(Snapshot.empty()
+                                           ? mir::snapshot::write(*M, Fp)
+                                           : std::move(Snapshot),
+                                       Facts, Fp));
+  if (ModuleOut)
+    *ModuleOut = std::move(M);
+  return Facts;
+}
 
+std::optional<mir::Module>
+AnalysisEngine::materializeModule(std::string_view Source,
+                                  const std::string &Path, uint64_t Fp,
+                                  std::atomic<unsigned> *Decodes) {
+  const uint64_t SnapKey = snapshotCacheKey(Fp);
   std::optional<mir::Module> M;
   if (Cache)
     if (std::optional<sched::ResultCache::BlobRef> Blob =
             Cache->lookupBlobRef(SnapKey))
-      M = mir::snapshot::read(Blob->bytes(), &Fp);
+      M = readSnapshotHalf(Blob->bytes(), Fp);
   if (!M) {
-    try {
-      if (fault::shouldFail("engine.parse"))
-        throw std::runtime_error("injected fault at probe engine.parse");
-      mir::ModuleParse P = mir::Parser::parseRecover(Source, Path);
-      // Only a fully clean module joins the link: recovered parses carry
-      // dropped items a linked summary must not pretend to cover. Such
-      // files fall back to the per-file pipeline, which reports them with
-      // its usual recovery/skip statuses.
-      if (!P.Errors.empty())
-        return std::nullopt;
-      if (fault::shouldFail("engine.verify"))
-        throw std::runtime_error("injected fault at probe engine.verify");
-      std::vector<Error> VErr;
-      if (!mir::verifyModule(P.M, VErr))
-        return std::nullopt;
-      if (Cache)
-        Cache->storeBlob(SnapKey, mir::snapshot::write(P.M, Fp));
-      M = std::move(P.M);
-    } catch (...) {
+    M = parseLinkClean(Source, Path);
+    if (!M)
       return std::nullopt;
-    }
+    if (Cache)
+      Cache->storeBlob(SnapKey,
+                       composeModuleBlob(mir::snapshot::write(*M, Fp),
+                                         analysis::collectModuleFacts(*M, Path),
+                                         Fp));
   }
-  if (SourceOut)
-    *SourceOut = std::move(Source);
-  if (FpOut)
-    *FpOut = Fp;
+  if (Decodes)
+    ++*Decodes;
   return M;
 }
 
@@ -1069,6 +1284,9 @@ CorpusReport AnalysisEngine::analyzeCorpusLinked(
     Jobs = unsigned(Inputs.size());
   if (Jobs < 1)
     Jobs = 1;
+  // One pool for the whole run — every phase and every summarize round —
+  // created by the first phase wide enough to need it.
+  std::optional<sched::ThreadPool> Pool;
   auto RunParallel = [&](size_t N, const std::function<void(size_t)> &Fn) {
     if (N == 0)
       return;
@@ -1077,36 +1295,53 @@ CorpusReport AnalysisEngine::analyzeCorpusLinked(
         Fn(I);
       return;
     }
-    sched::ThreadPool Pool(Jobs > N ? unsigned(N) : Jobs);
-    sched::parallelFor(Pool, N, Fn);
+    if (!Pool)
+      Pool.emplace(Jobs);
+    sched::parallelFor(*Pool, N, Fn);
   };
 
-  // Phase A: load every analyzable input once. Only fully clean modules
-  // (parse without recovery, verifier pass) join the link; the rest take
-  // the per-file pipeline in phase C so their recovery/skip reporting is
-  // byte-identical to a per-file run.
-  struct LoadedModule {
-    std::optional<mir::Module> M;
+  // Phase A: read and fingerprint every analyzable input and take its link
+  // facts — from the facts section of its module blob when the cache has
+  // one, so a warm run decodes nothing here. Only link-clean modules (parse
+  // without recovery, verifier pass) join the link; the rest take the
+  // per-file pipeline in phase C so their recovery/skip reporting is
+  // byte-identical to a per-file run. A module is decoded (or parsed) only
+  // when phase C misses its report or the solver has to summarize it.
+  struct LinkSource {
     std::string Source;
     uint64_t Fp = 0;
+    std::optional<analysis::ModuleFacts> Facts;
+    std::optional<mir::Module> M; ///< Materialized on demand.
   };
-  std::vector<LoadedModule> Mods(Inputs.size());
+  std::vector<LinkSource> Mods(Inputs.size());
+  std::atomic<unsigned> Decodes{0};
   RunParallel(Inputs.size(), [&](size_t I) {
     if (!Inputs[I].SkipReason.empty())
       return;
-    Mods[I].M =
-        loadModuleForLink(Inputs[I].Path, &Mods[I].Source, &Mods[I].Fp);
+    std::optional<std::string> Source = readSourceFile(Inputs[I].Path);
+    if (!Source)
+      return;
+    LinkSource &L = Mods[I];
+    L.Source = std::move(*Source);
+    L.Fp = fingerprintSource(L.Source);
+    L.Facts = linkFactsFor(L.Source, Inputs[I].Path, L.Fp, &L.M, &Decodes);
   });
+  auto Materialize = [&](size_t I) -> const mir::Module * {
+    LinkSource &L = Mods[I];
+    if (!L.M)
+      L.M = materializeModule(L.Source, Inputs[I].Path, L.Fp, &Decodes);
+    return L.M ? &*L.M : nullptr;
+  };
 
-  // Phase B: link. Facts are collected in input order — the determinism
-  // anchor the first-definition-wins rule and the shard fleet both key on.
+  // Phase B: link. Facts enter in input order — the determinism anchor the
+  // first-definition-wins rule and the shard fleet both key on.
   std::vector<analysis::ModuleFacts> Facts;
   std::vector<size_t> LinkInput; // Module index -> input ordinal.
   std::vector<uint32_t> InputModule(Inputs.size(), UINT32_MAX);
   for (size_t I = 0; I != Inputs.size(); ++I)
-    if (Mods[I].M) {
+    if (Mods[I].Facts) {
       InputModule[I] = static_cast<uint32_t>(Facts.size());
-      Facts.push_back(analysis::collectModuleFacts(*Mods[I].M, Inputs[I].Path));
+      Facts.push_back(std::move(*Mods[I].Facts));
       LinkInput.push_back(I);
     }
 
@@ -1119,6 +1354,8 @@ CorpusReport AnalysisEngine::analyzeCorpusLinked(
       SummaryDbPtr->store(K, P);
     };
   }
+  // Each module index appears once per round and rounds run one after
+  // another, so every task owns its LinkSource slot.
   analysis::SummarizeRoundFn Summarize =
       [&](const std::vector<uint32_t> &ModuleIdxs,
           const analysis::ExternalSummaries &Env) {
@@ -1127,8 +1364,10 @@ CorpusReport AnalysisEngine::analyzeCorpusLinked(
           uint32_t MIdx = ModuleIdxs[I];
           Out[I].ModuleIdx = MIdx;
           try {
-            Out[I] = analysis::summarizeLinkedModule(
-                *Mods[LinkInput[MIdx]].M, MIdx, Env, MaxRounds);
+            const mir::Module *M = Materialize(LinkInput[MIdx]);
+            if (!M)
+              throw std::runtime_error("module no longer loads cleanly");
+            Out[I] = analysis::summarizeLinkedModule(*M, MIdx, Env, MaxRounds);
           } catch (...) {
             // Contained: this module contributes nothing this round and
             // its summaries are never persisted.
@@ -1160,9 +1399,9 @@ CorpusReport AnalysisEngine::analyzeCorpusLinked(
       Report.Files[I] = analyzeFileCached(In.Path, Salt);
       return;
     }
-    uint32_t MIdx = InputModule[I];
-    uint64_t Digest = LR.Corpus.linkDigest(MIdx);
-    uint64_t Key = cacheKey(Mods[I].Fp, Salt);
+    LinkSource &L = Mods[I];
+    uint64_t Digest = LR.Corpus.linkDigest(InputModule[I]);
+    uint64_t Key = cacheKey(L.Fp, Salt);
     if (Digest != 0)
       Key = fnv1a64U64(Digest, Key);
     if (Cache)
@@ -1170,16 +1409,23 @@ CorpusReport AnalysisEngine::analyzeCorpusLinked(
         if (std::optional<FileReport> R =
                 deserializeFileReport(*Payload, In.Path)) {
           Report.Files[I] = std::move(*R);
+          L = LinkSource();
           return;
         }
     // Lookups during analysis only use the module's own callee names, so
     // analyzing against the full environment is byte-identical to the
-    // sliced environment a shard worker receives.
+    // sliced environment a shard worker receives. A module that no longer
+    // loads cleanly (its blob went bad and a parse fault hit) takes the
+    // parse path, which reports why.
+    const mir::Module *M = Materialize(I);
     FileReport R =
-        analyzeParsedModule(*Mods[I].M, Mods[I].Source, In.Path, &LR.Env);
+        M ? analyzeParsedModule(*M, L.Source, In.Path, &LR.Env)
+          : analyzeSourceImpl(L.Source, In.Path, /*StoreSnapshot=*/false,
+                              /*SnapKey=*/0, L.Fp, &LR.Env);
     if (Cache && R.Status == EngineStatus::Ok)
       Cache->store(Key, serializeFileReport(R));
     Report.Files[I] = std::move(R);
+    L = LinkSource();
   });
 
   Report.finalize();
@@ -1205,6 +1451,8 @@ CorpusReport AnalysisEngine::analyzeCorpusLinked(
   Report.Stats.SummaryDbHits = LR.Stats.DbHits;
   Report.Stats.SummaryDbMisses = LR.Stats.DbMisses;
   Report.Stats.SummaryDbStores = LR.Stats.DbStores;
+  Report.Stats.ModulesUnreferenced = LR.Stats.ModulesUnreferenced;
+  Report.Stats.ModulesDecoded = Decodes.load();
   return Report;
 }
 
@@ -1235,6 +1483,10 @@ std::string RunStats::renderLine() const {
   }
   Out += "; " + formatDouble(WallMs, 1) + " ms wall-clock, " +
          std::to_string(Jobs) + " job(s)";
+  // Appended last so parsers of the fields above keep matching.
+  if (LinkEnabled)
+    Out += "; " + std::to_string(ModulesDecoded) + " module(s) decoded, " +
+           std::to_string(ModulesUnreferenced) + " unreferenced";
   return Out;
 }
 

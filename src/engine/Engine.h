@@ -37,8 +37,8 @@
 #include "sched/ResultCache.h"
 #include "sched/SummaryDb.h"
 
+#include <atomic>
 #include <chrono>
-
 #include <functional>
 #include <memory>
 #include <optional>
@@ -125,6 +125,15 @@ struct RunStats {
   uint64_t SummaryDbHits = 0;
   uint64_t SummaryDbMisses = 0;
   uint64_t SummaryDbStores = 0;
+  /// Modules the link solver never probed or summarized because no other
+  /// module references them (analysis::LinkStats::ModulesUnreferenced).
+  unsigned ModulesUnreferenced = 0;
+  /// Linked modules materialized (snapshot decode or parse) during an
+  /// in-process run. A warm run decodes only report misses and the modules
+  /// the link solver had to summarize; every other module goes from its
+  /// blob's facts section to a report hit without a decode. A shard
+  /// fleet's workers decode out of process and are not counted here.
+  unsigned ModulesDecoded = 0;
 
   /// One human-readable line, e.g.
   /// "cache: 3 hits, 5 misses, 0 evictions; 12.4 ms wall-clock, 8 jobs".
@@ -309,9 +318,11 @@ public:
                                 const analysis::ExternalSummaries &Env,
                                 uint64_t LinkDigest);
 
-  /// Link facts for one file: snapshot-or-parse + verify, then the
-  /// linker-visible shape. Returns nullopt when the file cannot join the
-  /// link (unreadable, parse errors, verifier rejection) — such files are
+  /// Link facts for one file: straight from the facts section of its
+  /// module blob when the cache holds one, else snapshot-or-parse + verify
+  /// and the linker-visible shape (the blob is then rewritten with both
+  /// halves). Returns nullopt when the file cannot join the link
+  /// (unreadable, parse errors, verifier rejection) — such files are
   /// analyzed per-file instead. Worker entry for the supervisor's facts
   /// phase.
   std::optional<analysis::ModuleFacts>
@@ -378,13 +389,24 @@ private:
   FileReport analyzeFileCached(const std::string &Path, uint64_t Salt,
                                const analysis::ExternalSummaries *Ext = nullptr,
                                uint64_t LinkDigest = 0);
-  /// Loads \p Path's module for the link: snapshot fast path, else
-  /// parse + verify. Only fully clean modules load (nullopt otherwise);
-  /// freshly parsed ones are snapshotted for the next run. \p SourceOut /
-  /// \p FpOut (optional) receive the raw source and its fingerprint.
-  std::optional<mir::Module> loadModuleForLink(const std::string &Path,
-                                               std::string *SourceOut,
-                                               uint64_t *FpOut);
+  /// The link facts of \p Source (fingerprint \p Fp, corpus path \p Path):
+  /// from its module blob's facts section when intact — no decode — else
+  /// from the module, decoded from the blob's snapshot or parsed + verified,
+  /// after which the blob is rewritten with both halves. A module
+  /// materialized on the way is handed back through \p ModuleOut (and
+  /// counted in \p Decodes) so the caller need not decode it again.
+  /// nullopt when the module is not link-clean.
+  std::optional<analysis::ModuleFacts>
+  linkFactsFor(std::string_view Source, const std::string &Path, uint64_t Fp,
+               std::optional<mir::Module> *ModuleOut,
+               std::atomic<unsigned> *Decodes);
+  /// The module of a linked source: decoded from its blob's snapshot, else
+  /// parsed + verified (the blob is then rewritten). nullopt when it no
+  /// longer loads cleanly. Counts in \p Decodes (optional).
+  std::optional<mir::Module> materializeModule(std::string_view Source,
+                                               const std::string &Path,
+                                               uint64_t Fp,
+                                               std::atomic<unsigned> *Decodes);
   /// The linked corpus driver behind analyzeCorpus (whole-program mode).
   CorpusReport
   analyzeCorpusLinked(std::vector<corpus::CorpusInput> Inputs,

@@ -47,15 +47,33 @@ constexpr size_t StderrTailCap = 8192;
 /// is as hung as one that never wrote.
 constexpr auto ReapGrace = std::chrono::seconds(5);
 
-/// Link-phase stats carried from the link block to the final report.
-struct LinkStatsOut {
-  unsigned LinkedFiles = 0;
-  unsigned Rounds = 0;
-  unsigned ModulesFromDb = 0;
-  uint64_t DbHits = 0;
-  uint64_t DbMisses = 0;
-  uint64_t DbStores = 0;
-};
+/// Adds what a fleet loop waits on for one worker to \p Fds: its open
+/// output pipes, or — once both have closed — its exit fd, so the loop
+/// wakes the moment the worker exits and reaps it then. Returns false when
+/// the worker has closed both pipes and there is no exit fd to wait on;
+/// the caller then must not sleep long.
+bool appendWaitFds(proc::Subprocess &P, std::vector<struct pollfd> &Fds) {
+  int Out = P.stdoutFd(), Err = P.stderrFd();
+  if (Out != -1)
+    Fds.push_back({Out, POLLIN, 0});
+  if (Err != -1)
+    Fds.push_back({Err, POLLIN, 0});
+  if (Out != -1 || Err != -1)
+    return true;
+  int Exit = P.exitFd();
+  if (Exit == -1)
+    return false;
+  Fds.push_back({Exit, POLLIN, 0});
+  return true;
+}
+
+/// One fleet-loop wait. \p IdlePolls counts waits with nothing to wait
+/// on (a blind sleep).
+void pollFleet(std::vector<struct pollfd> &Fds, int TimeoutMs,
+               uint64_t &IdlePolls) {
+  IdlePolls += Fds.empty();
+  ::poll(Fds.empty() ? nullptr : Fds.data(), nfds_t(Fds.size()), TimeoutMs);
+}
 
 enum class Outcome {
   Done,     ///< Complete frame stream + "done" frame.
@@ -377,7 +395,8 @@ bool drainMapStreams(MapWorker &W) {
 /// failed attempt, like the analyze fleet's trusted path).
 std::vector<std::optional<std::string>>
 runMapFleet(const SupervisorOptions &Opts, const std::string &Preamble,
-            const std::vector<std::string> &ItemTails, unsigned MaxWorkers) {
+            const std::vector<std::string> &ItemTails, unsigned MaxWorkers,
+            uint64_t &IdlePolls) {
   const size_t N = ItemTails.size();
   std::vector<std::optional<std::string>> Out(N);
   if (N == 0)
@@ -471,13 +490,11 @@ runMapFleet(const SupervisorOptions &Opts, const std::string &Preamble,
 
     {
       std::vector<struct pollfd> Fds;
-      for (const auto &W : Active) {
-        if (int Fd = W->Proc.stdoutFd(); Fd != -1)
-          Fds.push_back({Fd, POLLIN, 0});
-        if (int Fd = W->Proc.stderrFd(); Fd != -1)
-          Fds.push_back({Fd, POLLIN, 0});
-      }
-      ::poll(Fds.empty() ? nullptr : Fds.data(), nfds_t(Fds.size()), 100);
+      int TimeoutMs = 100;
+      for (const auto &W : Active)
+        if (!appendWaitFds(W->Proc, Fds))
+          TimeoutMs = 1;
+      pollFleet(Fds, TimeoutMs, IdlePolls);
     }
     for (auto &W : Active)
       drainMapStreams(*W);
@@ -548,6 +565,7 @@ uint64_t rs::engine::journalSalt(const EngineOptions &Opts,
 
 CorpusReport Supervisor::run(const std::vector<std::string> &Paths) {
   const auto Start = Clock::now();
+  IdlePolls = 0;
 
   std::vector<corpus::CorpusInput> Inputs = corpus::expandMirPaths(Paths);
   const size_t N = Inputs.size();
@@ -610,7 +628,8 @@ CorpusReport Supervisor::run(const std::vector<std::string> &Paths) {
   std::vector<uint64_t> LinkDigest(N, 0);
   std::vector<bool> InLink(N, false);
   std::string AnalyzePreamble;
-  LinkStatsOut LinkStats;
+  analysis::LinkStats LinkStats;
+  unsigned LinkedFiles = 0;
   if (Linked) {
     const unsigned FleetWorkers =
         std::max(1u, Opts.MaxWorkers ? Opts.MaxWorkers : Hardware);
@@ -626,7 +645,8 @@ CorpusReport Supervisor::run(const std::vector<std::string> &Paths) {
         FactTails.push_back(Inputs[I].Path);
       }
     std::vector<std::optional<std::string>> FactPayloads =
-        runMapFleet(Opts, "{\"mode\":\"facts\"}", FactTails, FleetWorkers);
+        runMapFleet(Opts, "{\"mode\":\"facts\"}", FactTails, FleetWorkers,
+                    IdlePolls);
 
     std::vector<analysis::ModuleFacts> Facts;
     std::vector<size_t> LinkInputOrd; // Module index -> input ordinal.
@@ -668,7 +688,7 @@ CorpusReport Supervisor::run(const std::vector<std::string> &Paths) {
           std::string Pre = "{\"mode\":\"summarize\",\"env\":" +
                             jsonString(analysis::serializeEnv(Env)) + "}";
           std::vector<std::optional<std::string>> Payloads =
-              runMapFleet(Opts, Pre, Tails, FleetWorkers);
+              runMapFleet(Opts, Pre, Tails, FleetWorkers, IdlePolls);
           std::vector<analysis::ModuleSummaries> Round;
           for (auto &P : Payloads) {
             if (!P)
@@ -691,12 +711,8 @@ CorpusReport Supervisor::run(const std::vector<std::string> &Paths) {
     }
     AnalyzePreamble = "{\"mode\":\"analyze\",\"env\":" +
                       jsonString(analysis::serializeEnv(LinkEnv)) + "}";
-    LinkStats.LinkedFiles = static_cast<unsigned>(LinkInputOrd.size());
-    LinkStats.Rounds = LR.Stats.Rounds;
-    LinkStats.ModulesFromDb = LR.Stats.ModulesFromDb;
-    LinkStats.DbHits = LR.Stats.DbHits;
-    LinkStats.DbMisses = LR.Stats.DbMisses;
-    LinkStats.DbStores = LR.Stats.DbStores;
+    LinkedFiles = static_cast<unsigned>(LinkInputOrd.size());
+    LinkStats = LR.Stats;
   }
 
   // Contiguous, deterministic partition of the pending ordinals.
@@ -888,13 +904,10 @@ CorpusReport Supervisor::run(const std::vector<std::string> &Paths) {
     // afterwards regardless of which fd woke us.
     {
       std::vector<struct pollfd> Fds;
-      for (const auto &W : Active) {
-        if (int Fd = W->Proc.stdoutFd(); Fd != -1)
-          Fds.push_back({Fd, POLLIN, 0});
-        if (int Fd = W->Proc.stderrFd(); Fd != -1)
-          Fds.push_back({Fd, POLLIN, 0});
-      }
       int TimeoutMsPoll = 100;
+      for (const auto &W : Active)
+        if (!appendWaitFds(W->Proc, Fds))
+          TimeoutMsPoll = 1;
       const auto PollNow = Clock::now();
       auto Consider = [&](Clock::time_point T) {
         auto Ms = std::chrono::duration_cast<std::chrono::milliseconds>(
@@ -908,8 +921,7 @@ CorpusReport Supervisor::run(const std::vector<std::string> &Paths) {
       if (Active.size() < MaxWorkers)
         for (const Shard &Sh : Queue)
           Consider(Sh.NotBefore);
-      ::poll(Fds.empty() ? nullptr : Fds.data(), nfds_t(Fds.size()),
-             TimeoutMsPoll);
+      pollFleet(Fds, TimeoutMsPoll, IdlePolls);
     }
 
     for (auto &W : Active)
@@ -1029,12 +1041,13 @@ CorpusReport Supervisor::run(const std::vector<std::string> &Paths) {
                             .count();
   if (Linked) {
     Report.Stats.LinkEnabled = true;
-    Report.Stats.LinkedFiles = LinkStats.LinkedFiles;
+    Report.Stats.LinkedFiles = LinkedFiles;
     Report.Stats.LinkRounds = LinkStats.Rounds;
     Report.Stats.ModulesFromSummaryDb = LinkStats.ModulesFromDb;
     Report.Stats.SummaryDbHits = LinkStats.DbHits;
     Report.Stats.SummaryDbMisses = LinkStats.DbMisses;
     Report.Stats.SummaryDbStores = LinkStats.DbStores;
+    Report.Stats.ModulesUnreferenced = LinkStats.ModulesUnreferenced;
   }
   return Report;
 }

@@ -107,8 +107,15 @@ public:
   /// the results by input ordinal.
   CorpusReport run(const std::vector<std::string> &Paths);
 
+  /// poll() calls the last run() made with no descriptor to wait on —
+  /// each a blind sleep of up to the fleet loop's 100 ms tick. A worker
+  /// whose pipes have closed is waited on through its exit fd, so this
+  /// stays 0 wherever the kernel supports one.
+  uint64_t idlePolls() const { return IdlePolls; }
+
 private:
   SupervisorOptions Opts;
+  uint64_t IdlePolls = 0;
 };
 
 /// The salt half of the checkpoint journal's RunKey: the workers'

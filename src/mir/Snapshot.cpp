@@ -1240,3 +1240,13 @@ rs::mir::snapshot::peekFingerprint(std::string_view Bytes) {
     return std::nullopt;
   return Fingerprint;
 }
+
+std::optional<size_t> rs::mir::snapshot::encodedSize(std::string_view Bytes) {
+  if (Bytes.size() < HeaderSize || std::memcmp(Bytes.data(), Magic, 4) != 0)
+    return std::nullopt;
+  Cursor H(Bytes.substr(HeaderSize - 16, 8));
+  uint64_t Size = H.getU64();
+  if (!H.ok() || Size > Bytes.size() - HeaderSize)
+    return std::nullopt;
+  return HeaderSize + static_cast<size_t>(Size);
+}

@@ -66,6 +66,13 @@ std::optional<Module> read(std::string_view Bytes,
 /// is not even a structurally valid header (payload is NOT validated).
 std::optional<uint64_t> peekFingerprint(std::string_view Bytes);
 
+/// The length of the snapshot that starts \p Bytes (header plus the
+/// payload size its header declares), or nullopt when \p Bytes does not
+/// start with a snapshot header or is shorter than that length. Lets a
+/// caller that appends its own section after a snapshot split the two
+/// without decoding anything; read() itself still rejects trailing bytes.
+std::optional<size_t> encodedSize(std::string_view Bytes);
+
 } // namespace rs::mir::snapshot
 
 #endif // RUSTSIGHT_MIR_SNAPSHOT_H

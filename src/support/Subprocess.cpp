@@ -7,6 +7,7 @@
 #include <fcntl.h>
 #include <poll.h>
 #include <spawn.h>
+#include <sys/syscall.h>
 #include <sys/wait.h>
 #include <unistd.h>
 
@@ -161,9 +162,11 @@ std::optional<Subprocess> Subprocess::spawn(const Options &O,
 
 Subprocess::Subprocess(Subprocess &&Other) noexcept
     : Pid(Other.Pid), InFd(Other.InFd), OutFd(Other.OutFd),
-      ErrFd(Other.ErrFd), Reaped(Other.Reaped) {
+      ErrFd(Other.ErrFd), PidFd(Other.PidFd), PidFdTried(Other.PidFdTried),
+      Reaped(Other.Reaped) {
   Other.Pid = -1;
-  Other.InFd = Other.OutFd = Other.ErrFd = -1;
+  Other.InFd = Other.OutFd = Other.ErrFd = Other.PidFd = -1;
+  Other.PidFdTried = false;
   Other.Reaped.reset();
 }
 
@@ -184,6 +187,21 @@ Subprocess::~Subprocess() {
   closeFd(InFd);
   closeFd(OutFd);
   closeFd(ErrFd);
+  closeFd(PidFd);
+}
+
+int Subprocess::exitFd() {
+  if (!PidFdTried && Pid != -1) {
+    PidFdTried = true;
+#ifdef SYS_pidfd_open
+    long Fd = ::syscall(SYS_pidfd_open, Pid, 0);
+    if (Fd >= 0) {
+      PidFd = static_cast<int>(Fd);
+      ::fcntl(PidFd, F_SETFD, FD_CLOEXEC);
+    }
+#endif
+  }
+  return PidFd;
 }
 
 void Subprocess::closeFd(int &Fd) {

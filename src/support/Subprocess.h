@@ -78,6 +78,13 @@ public:
   int stderrFd() const { return ErrFd; }
   int stdinFd() const { return InFd; }
 
+  /// A pollable descriptor that turns readable (POLLIN) once the child
+  /// has exited — a Linux pidfd, opened on first use. A supervisor polls
+  /// it after both output pipes have closed, so it reaps the child the
+  /// moment it exits instead of sleeping on an fd-less poll. -1 when the
+  /// kernel has no pidfd support.
+  int exitFd();
+
   /// Blocking write of the whole buffer to the child's stdin. Returns
   /// false on any write error (including EPIPE from a child that died —
   /// SIGPIPE is suppressed for the write, so the caller sees a return
@@ -117,6 +124,8 @@ private:
   int InFd = -1;
   int OutFd = -1;
   int ErrFd = -1;
+  int PidFd = -1;
+  bool PidFdTried = false;
   std::optional<ExitStatus> Reaped;
 };
 

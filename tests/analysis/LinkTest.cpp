@@ -6,6 +6,7 @@
 
 #include <algorithm>
 #include <map>
+#include <set>
 #include <string>
 #include <vector>
 
@@ -239,15 +240,82 @@ TEST(Link, SummaryDbHooksServeWarmRuns) {
   ASSERT_FALSE(Db.empty());
 
   // Warm: every link key hits, so no module is summarized at all and the
-  // environment is byte-identical to the cold run's.
+  // environment is byte-identical to the cold run's. Only callee.mir
+  // contributes (caller.mir defines nothing another module calls), so it
+  // is the one module the DB serves; caller.mir is never probed.
   LinkResult Warm = solveLink(LinkedCorpus::build(twoModuleFacts()),
                               LinkOptions(), Hooks,
                               inProcessRounds({&Caller, &Callee}));
   EXPECT_TRUE(Warm.Converged);
   EXPECT_EQ(Warm.Stats.ModulesSummarized, 0u);
-  EXPECT_EQ(Warm.Stats.ModulesFromDb, 2u);
+  EXPECT_EQ(Warm.Stats.ModulesFromDb, 1u);
+  EXPECT_EQ(Warm.Stats.ModulesUnreferenced, 1u);
   EXPECT_GT(Warm.Stats.DbHits, 0u);
   EXPECT_EQ(serializeEnv(Warm.Env), serializeEnv(Cold.Env));
+}
+
+TEST(Link, UnreferencedModulesAreNeverProbedOrSummarized) {
+  // caller.mir and bystander.mir define nothing another module calls, so
+  // neither can contribute to the environment: the solver must leave them
+  // alone entirely — no DB probe for their keys, no summarize request, no
+  // store — while the environment stays exactly what summarizing
+  // everything would give.
+  const char *BystanderSrc = "fn bystander(_1: *mut u8) {\n"
+                             "    bb0: {\n"
+                             "        dealloc(copy _1) -> bb1;\n"
+                             "    }\n"
+                             "    bb1: { return; }\n"
+                             "}\n";
+  Module Caller = parseOk(CallerSrc);
+  Module Callee = parseOk(CalleeSrc);
+  Module Bystander = parseOk(BystanderSrc);
+  std::vector<ModuleFacts> Facts = twoModuleFacts();
+  Facts.push_back(collectModuleFacts(Bystander, "bystander.mir"));
+  LinkedCorpus LC = LinkedCorpus::build(Facts);
+
+  std::set<uint64_t> Looked, Stored;
+  std::set<uint32_t> Summarized;
+  LinkDbHooks Hooks;
+  Hooks.Lookup = [&](uint64_t K) -> std::optional<std::string> {
+    Looked.insert(K);
+    return std::nullopt;
+  };
+  Hooks.Store = [&](uint64_t K, std::string_view) { Stored.insert(K); };
+  SummarizeRoundFn Inner = inProcessRounds({&Caller, &Callee, &Bystander});
+  SummarizeRoundFn Recording = [&](const std::vector<uint32_t> &Idxs,
+                                   const ExternalSummaries &Env) {
+    Summarized.insert(Idxs.begin(), Idxs.end());
+    return Inner(Idxs, Env);
+  };
+  LinkResult LR = solveLink(LC, LinkOptions(), Hooks, Recording);
+  EXPECT_TRUE(LR.Converged);
+  EXPECT_EQ(LR.Stats.ModulesUnreferenced, 2u);
+  EXPECT_EQ(Summarized, (std::set<uint32_t>{1}));
+
+  for (uint32_t M : {0u, 2u})
+    for (uint32_t Ord = 0; Ord != LC.modules()[M].Functions.size(); ++Ord) {
+      uint64_t Key = LC.linkKey(LC.globalId(M, Ord));
+      EXPECT_EQ(Looked.count(Key), 0u) << "module " << M << " probed";
+      EXPECT_EQ(Stored.count(Key), 0u) << "module " << M << " stored";
+    }
+  EXPECT_EQ(Looked.size(), 1u); // callee.mir stops at its first miss.
+  EXPECT_EQ(Stored.size(), LC.modules()[1].Functions.size());
+
+  // The environment is what summarizing callee.mir gives: it calls nothing
+  // resolvable, so one pass against the empty environment is its fixpoint.
+  ModuleSummaries Want =
+      summarizeLinkedModule(Callee, 1, ExternalSummaries(), 8);
+  ExternalSummaries WantEnv;
+  for (ExternalFunctionInfo &Info : Want.Functions) {
+    Info.File = "callee.mir";
+    WantEnv.insert(Info);
+  }
+  EXPECT_EQ(serializeEnv(LR.Env), serializeEnv(WantEnv));
+  // And adding the bystander changed nothing for the two-module corpus.
+  LinkResult Two =
+      solveLink(LinkedCorpus::build(twoModuleFacts()), LinkOptions(),
+                LinkDbHooks(), inProcessRounds({&Caller, &Callee}));
+  EXPECT_EQ(serializeEnv(LR.Env), serializeEnv(Two.Env));
 }
 
 TEST(Link, SerializationRoundTrips) {

@@ -20,6 +20,7 @@
 #include "diag/Diag.h"
 #include "engine/Checkpoint.h"
 #include "support/FaultInjection.h"
+#include "support/Subprocess.h"
 
 #include <gtest/gtest.h>
 
@@ -313,3 +314,45 @@ TEST(Supervisor, WorkerStderrNotesSurviveIntoSupervisedRun) {
   EXPECT_EQ(R.exitCode(/*Strict=*/false), 1); // Findings from b_buggy.mir.
   EXPECT_EQ(R.exitCode(/*Strict=*/true), 2);  // Skip trips strict.
 }
+
+TEST(Supervisor, LinkedShardsReapExitedWorkersWithoutIdlePolls) {
+  // A worker closes its pipes a moment before it becomes reapable. The
+  // fleet loops must then wait on its exit, not sleep through an fd-less
+  // poll — that sleep made linked --shards runs take up to 100 ms extra
+  // per fleet, at random.
+  {
+    proc::Subprocess::Options PO;
+    PO.Argv = {RS_RUSTSIGHT_BIN, "--version"};
+    std::optional<proc::Subprocess> Probe = proc::Subprocess::spawn(PO);
+    ASSERT_TRUE(Probe.has_value());
+    bool HasExitFd = Probe->exitFd() != -1;
+    Probe->wait();
+    if (!HasExitFd)
+      GTEST_SKIP() << "no pidfd support: the loops fall back to 1 ms ticks";
+  }
+
+  fs::path Dir = writeCorpus("sup_reap");
+  // A cross-file pair, so the run has a summarize fleet besides the facts
+  // and analyze fleets.
+  std::ofstream(Dir / "d_def.mir") << "fn xp_free(_1: *mut u8) {\n"
+                                      "    bb0: {\n"
+                                      "        dealloc(copy _1) -> bb1;\n"
+                                      "    }\n"
+                                      "    bb1: { return; }\n"
+                                      "}\n";
+  std::ofstream(Dir / "e_use.mir") << "fn xp_caller(_1: *mut u8) {\n"
+                                      "    let _2: ();\n"
+                                      "    bb0: {\n"
+                                      "        _2 = xp_free(copy _1) -> bb1;\n"
+                                      "    }\n"
+                                      "    bb1: { return; }\n"
+                                      "}\n";
+  for (int Run = 0; Run != 5; ++Run) {
+    Supervisor S(baseOptions(2));
+    CorpusReport R = S.run({Dir.string()});
+    ASSERT_TRUE(R.Stats.LinkEnabled);
+    EXPECT_GE(R.Stats.LinkRounds, 1u);
+    EXPECT_EQ(S.idlePolls(), 0u) << "run " << Run;
+  }
+}
+

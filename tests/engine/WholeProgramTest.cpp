@@ -11,12 +11,16 @@
 
 #include "diag/Diag.h"
 #include "engine/Supervisor.h"
+#include "mir/Snapshot.h"
 
 #include <gtest/gtest.h>
 
 #include <filesystem>
 #include <fstream>
+#include <functional>
 #include <string>
+#include <utility>
+#include <vector>
 
 namespace fs = std::filesystem;
 using namespace rs;
@@ -262,9 +266,12 @@ TEST(WholeProgram, ColdVsWarmSummaryDbIsByteIdentical) {
   {
     // A fresh engine against the same disk root: every link key hits, so
     // no module is summarized and the bytes match the cold run exactly.
+    // The def file is the one contributing module; the use file defines
+    // nothing another file calls, so the solver never probes it.
     AnalysisEngine E(Opts);
     CorpusReport R = E.analyzeCorpus({Dir.string()});
-    EXPECT_EQ(R.Stats.ModulesFromSummaryDb, 2u) << R.Stats.renderLine();
+    EXPECT_EQ(R.Stats.ModulesFromSummaryDb, 1u) << R.Stats.renderLine();
+    EXPECT_EQ(R.Stats.ModulesUnreferenced, 1u) << R.Stats.renderLine();
     EXPECT_GT(R.Stats.SummaryDbHits, 0u);
     Warm = R.renderJson();
   }
@@ -296,3 +303,108 @@ TEST(WholeProgram, SummaryDbSchemaBumpIsColdNotCorrupt) {
   ASSERT_NE(Bumped.summaryDb(), nullptr);
   EXPECT_EQ(Bumped.summaryDb()->stats().CorruptEntries, 0u);
 }
+
+TEST(WholeProgram, WarmRunDecodesOnlyReportMisses) {
+  fs::path Dir = fs::path(testing::TempDir()) / "wp_lazy_eval";
+  fs::path CacheDir = fs::path(testing::TempDir()) / "wp_lazy_cache";
+  fs::remove_all(Dir);
+  fs::remove_all(CacheDir);
+  fs::copy(fs::path(RS_REPO_ROOT) / "examples/mir/eval", Dir);
+
+  EngineOptions Opts = baseOptions();
+  Opts.Jobs = 2;
+  Opts.UseCache = true;
+  Opts.CacheDir = CacheDir.string();
+
+  std::string Cold;
+  {
+    AnalysisEngine E(Opts);
+    CorpusReport R = E.analyzeCorpus({Dir.string()});
+    ASSERT_GT(R.Stats.LinkedFiles, 1u);
+    EXPECT_EQ(R.Stats.ModulesDecoded, R.Stats.LinkedFiles);
+    Cold = R.renderJson();
+  }
+  {
+    // Fully warm: every module goes from its blob's facts section to a
+    // report hit; not one is decoded.
+    AnalysisEngine E(Opts);
+    CorpusReport R = E.analyzeCorpus({Dir.string()});
+    EXPECT_EQ(R.Stats.ModulesDecoded, 0u) << R.Stats.renderLine();
+    EXPECT_GE(R.Stats.ModulesFromSummaryDb, 1u);
+    EXPECT_EQ(R.renderJson(), Cold);
+  }
+  {
+    // One edited caller: its report misses and it is the only module
+    // decoded (parsed, since its bytes are new). A trailing comment moves
+    // no location, so the report bytes stay the same.
+    std::ofstream(Dir / "xfile_uaf_bug_0_use.mir", std::ios::app)
+        << "// edited\n";
+    AnalysisEngine E(Opts);
+    CorpusReport R = E.analyzeCorpus({Dir.string()});
+    EXPECT_EQ(R.Stats.ModulesDecoded, 1u) << R.Stats.renderLine();
+    EXPECT_EQ(R.renderJson(), Cold);
+  }
+}
+
+TEST(WholeProgram, DamagedFactsSectionIsAMissNotCorruption) {
+  fs::path Dir = writePair("wp_facts", UafUseSrc, UafDefSrc);
+  fs::path CacheDir = fs::path(testing::TempDir()) / "wp_facts_cache";
+  fs::remove_all(CacheDir);
+
+  EngineOptions Opts = baseOptions();
+  Opts.UseCache = true;
+  Opts.CacheDir = CacheDir.string();
+  std::string Cold;
+  {
+    AnalysisEngine E(Opts);
+    Cold = E.analyzeCorpus({Dir.string()}).renderJson();
+  }
+
+  std::vector<uint64_t> Keys = {snapshotCacheKey(fingerprintSource(UafDefSrc)),
+                                snapshotCacheKey(fingerprintSource(UafUseSrc))};
+
+  // Each damage leaves the envelope valid (re-sealed by storeBlob) and the
+  // snapshot half intact, so only the facts-section decoder can notice it.
+  using DamageFn = std::function<std::string(std::string, size_t)>;
+  std::vector<std::pair<const char *, DamageFn>> Damages = {
+      {"absent", [](std::string B, size_t Snap) { return B.substr(0, Snap); }},
+      {"truncated",
+       [](std::string B, size_t Snap) {
+         return B.substr(0, Snap + (B.size() - Snap) / 2);
+       }},
+      {"bit-flipped",
+       [](std::string B, size_t) {
+         B.back() = static_cast<char>(B.back() ^ 0x10);
+         return B;
+       }},
+  };
+  for (const auto &[What, Damage] : Damages) {
+    {
+      sched::ResultCache::Options CO;
+      CO.DiskDir = CacheDir.string();
+      sched::ResultCache C(CO);
+      for (uint64_t Key : Keys) {
+        std::optional<std::string> Bytes = C.lookupBlob(Key);
+        ASSERT_TRUE(Bytes.has_value()) << What;
+        std::optional<size_t> Snap = mir::snapshot::encodedSize(*Bytes);
+        ASSERT_TRUE(Snap.has_value()) << What;
+        ASSERT_LT(*Snap, Bytes->size()) << What << ": no facts section";
+        C.storeBlob(Key, Damage(*Bytes, *Snap));
+      }
+    }
+    AnalysisEngine E(Opts);
+    CorpusReport R = E.analyzeCorpus({Dir.string()});
+    EXPECT_EQ(R.renderJson(), Cold) << What;
+    EXPECT_EQ(R.Stats.CorruptEntries, 0u) << What;
+    // Both modules took the cold facts path: decoded from the snapshot
+    // half, which the damage left intact.
+    EXPECT_EQ(R.Stats.ModulesDecoded, 2u) << What << ": "
+                                          << R.Stats.renderLine();
+    // ...and rewrote their blobs, so the next run decodes nothing.
+    AnalysisEngine Again(Opts);
+    CorpusReport R2 = Again.analyzeCorpus({Dir.string()});
+    EXPECT_EQ(R2.Stats.ModulesDecoded, 0u) << What;
+    EXPECT_EQ(R2.renderJson(), Cold) << What;
+  }
+}
+
