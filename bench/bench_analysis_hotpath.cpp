@@ -373,6 +373,7 @@ void printExperiment() {
   W.key("warm_speedup");
   W.value(R.LinkedWarmMs > 0 ? R.LinkedColdMs / R.LinkedWarmMs : 0.0);
   W.endObject();
+  writeMachineFacts(W);
   W.endObject();
   std::ofstream("BENCH_analysis_hotpath.json") << W.str() << "\n";
   std::printf("\n  trajectory point written to BENCH_analysis_hotpath.json\n\n");

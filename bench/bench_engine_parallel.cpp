@@ -190,6 +190,7 @@ static void printExperiment() {
     W.endObject();
   }
   W.endArray();
+  writeMachineFacts(W);
   W.endObject();
   std::ofstream("BENCH_engine_parallel.json") << W.str() << "\n";
   std::printf("\n  trajectory point written to BENCH_engine_parallel.json\n\n");

@@ -17,13 +17,15 @@
 #include "support/StringUtils.h"
 
 #include <algorithm>
+#include <cerrno>
 #include <chrono>
 #include <cstring>
-#include <filesystem>
-#include <fstream>
-#include <sstream>
 #include <stdexcept>
 #include <tuple>
+
+#include <fcntl.h>
+#include <sys/stat.h>
+#include <unistd.h>
 
 using namespace rs;
 using namespace rs::engine;
@@ -289,28 +291,75 @@ AnalysisEngine::analyzeParsedModule(const mir::Module &M,
   return R;
 }
 
+namespace {
+
+/// Reads \p Path whole with one open, fstat and read; nullopt for a
+/// directory or an unreadable file, with the reason in \p WhyNot when
+/// given ("is a directory" or "cannot open file"). A directory must be
+/// refused: read as empty, it would masquerade as a clean empty module.
+std::optional<std::string> readSourceFile(const std::string &Path,
+                                          const char **WhyNot = nullptr) {
+  auto Fail = [&](const char *Why) -> std::optional<std::string> {
+    if (WhyNot)
+      *WhyNot = Why;
+    return std::nullopt;
+  };
+  int Fd = ::open(Path.c_str(), O_RDONLY | O_CLOEXEC);
+  if (Fd < 0)
+    return Fail("cannot open file");
+  struct stat St;
+  if (::fstat(Fd, &St) != 0) {
+    ::close(Fd);
+    return Fail("cannot open file");
+  }
+  if (S_ISDIR(St.st_mode)) {
+    ::close(Fd);
+    return Fail("is a directory");
+  }
+  // A regular file is read in one call of its fstat size; anything else
+  // (a pipe, a device reporting size 0) is read to end of file.
+  const bool Regular = S_ISREG(St.st_mode);
+  const size_t Size = static_cast<size_t>(St.st_size);
+  std::string Out(Regular ? Size : 4096, '\0');
+  size_t Got = 0;
+  for (;;) {
+    if (Regular && Got == Size)
+      break;
+    if (Got == Out.size())
+      Out.resize(Out.size() * 2);
+    ssize_t N = ::read(Fd, Out.data() + Got, Out.size() - Got);
+    if (N < 0 && errno == EINTR)
+      continue;
+    if (N < 0) {
+      ::close(Fd);
+      return Fail("cannot open file");
+    }
+    if (N == 0)
+      break;
+    Got += static_cast<size_t>(N);
+  }
+  ::close(Fd);
+  Out.resize(Got);
+  return Out;
+}
+
+/// The report of a file that was never analyzed.
+FileReport skippedFile(const std::string &Path, std::string Reason) {
+  FileReport R;
+  R.Path = Path;
+  R.Status = EngineStatus::Skipped;
+  R.Reason = std::move(Reason);
+  return R;
+}
+
+} // namespace
+
 FileReport AnalysisEngine::analyzeFile(const std::string &Path) {
-  std::error_code Ec;
-  if (std::filesystem::is_directory(Path, Ec)) {
-    // An ifstream on a directory reads as empty on some platforms, which
-    // would masquerade as a clean empty module.
-    FileReport R;
-    R.Path = Path;
-    R.Status = EngineStatus::Skipped;
-    R.Reason = "is a directory";
-    return R;
-  }
-  std::ifstream In(Path);
-  if (!In) {
-    FileReport R;
-    R.Path = Path;
-    R.Status = EngineStatus::Skipped;
-    R.Reason = "cannot open file";
-    return R;
-  }
-  std::ostringstream Buf;
-  Buf << In.rdbuf();
-  return analyzeSource(Buf.str(), Path);
+  const char *WhyNot = nullptr;
+  std::optional<std::string> Source = readSourceFile(Path, &WhyNot);
+  if (!Source)
+    return skippedFile(Path, WhyNot);
+  return analyzeSource(*Source, Path);
 }
 
 //===----------------------------------------------------------------------===//
@@ -321,36 +370,6 @@ FileReport AnalysisEngine::analyzeFile(const std::string &Path) {
 /// the serve daemon's serverInfo via diag/Version.h. It feeds the cache
 /// salt, so old entries stop matching instead of misparsing.
 static constexpr uint64_t ReportSchemaVersion = version::ReportSchemaVersion;
-
-namespace {
-
-/// 8-byte-chunk multiply-fold over canonical bytes, the same family as
-/// the snapshot body checksum. Hashing every source is the unavoidable
-/// price of content addressing, so on a warm corpus this sits directly
-/// on the report-hit path; chunking buys most of an order of magnitude
-/// over byte-at-a-time FNV.
-uint64_t hashCanonicalBytes(std::string_view Bytes) {
-  constexpr uint64_t M = 0x9e3779b97f4a7c15ull;
-  uint64_t H =
-      Fnv1a64OffsetBasis ^ (static_cast<uint64_t>(Bytes.size()) * M);
-  size_t I = 0;
-  for (; I + 8 <= Bytes.size(); I += 8) {
-    uint64_t Chunk;
-    std::memcpy(&Chunk, Bytes.data() + I, 8);
-    H = (H ^ Chunk) * M;
-  }
-  uint64_t Tail = 0;
-  for (unsigned Shift = 0; I < Bytes.size(); ++I, Shift += 8)
-    Tail |= static_cast<uint64_t>(static_cast<unsigned char>(Bytes[I]))
-            << Shift;
-  H = (H ^ Tail) * M;
-  H ^= H >> 32;
-  H *= M;
-  H ^= H >> 29;
-  return H;
-}
-
-} // namespace
 
 uint64_t rs::engine::fingerprintSource(std::string_view Source) {
   // Canonicalize CRLF -> LF so checkouts differing only in line endings
@@ -903,19 +922,6 @@ std::optional<mir::Module> readSnapshotHalf(std::string_view Blob,
   return mir::snapshot::read(splitModuleBlob(Blob).Snapshot, &Fp);
 }
 
-/// Reads \p Path whole; nullopt for a directory or an unreadable file.
-std::optional<std::string> readSourceFile(const std::string &Path) {
-  std::error_code Ec;
-  if (std::filesystem::is_directory(Path, Ec))
-    return std::nullopt;
-  std::ifstream In(Path);
-  if (!In)
-    return std::nullopt;
-  std::ostringstream Buf;
-  Buf << In.rdbuf();
-  return Buf.str();
-}
-
 /// Parse + verify for the link: only a fully clean module qualifies —
 /// recovered parses carry dropped items a linked summary must not pretend
 /// to cover, and such files fall back to the per-file pipeline, which
@@ -1065,25 +1071,11 @@ FileReport AnalysisEngine::analyzeFileCached(const std::string &Path,
                                              uint64_t Salt,
                                              const analysis::ExternalSummaries *Ext,
                                              uint64_t LinkDigest) {
-  std::error_code Ec;
-  if (std::filesystem::is_directory(Path, Ec)) {
-    FileReport R;
-    R.Path = Path;
-    R.Status = EngineStatus::Skipped;
-    R.Reason = "is a directory";
-    return R;
-  }
-  std::ifstream In(Path);
-  if (!In) {
-    FileReport R;
-    R.Path = Path;
-    R.Status = EngineStatus::Skipped;
-    R.Reason = "cannot open file";
-    return R;
-  }
-  std::ostringstream Buf;
-  Buf << In.rdbuf();
-  std::string Source = Buf.str();
+  const char *WhyNot = nullptr;
+  std::optional<std::string> Read = readSourceFile(Path, &WhyNot);
+  if (!Read)
+    return skippedFile(Path, WhyNot);
+  std::string Source = std::move(*Read);
 
   if (!Cache) {
     FileReport R = analyzeSourceImpl(Source, Path, /*StoreSnapshot=*/false,
@@ -1206,10 +1198,7 @@ CorpusReport AnalysisEngine::analyzeCorpus(const std::vector<std::string> &Paths
   CorpusReport Report;
   Report.Files.resize(Inputs.size());
 
-  ensureCache();
-  sched::ResultCache::Stats Before;
-  if (Cache)
-    Before = Cache->stats();
+  const sched::ResultCache::Stats Before = beginCacheRun();
   const uint64_t Salt = cacheSalt(Opts, detectorNames());
 
   // Each task owns exactly slot I of the report — the deterministic merge:
@@ -1217,11 +1206,7 @@ CorpusReport AnalysisEngine::analyzeCorpus(const std::vector<std::string> &Paths
   auto ProcessOne = [&](size_t I) {
     const corpus::CorpusInput &In = Inputs[I];
     if (!In.SkipReason.empty()) {
-      FileReport R;
-      R.Path = In.Path;
-      R.Status = EngineStatus::Skipped;
-      R.Reason = In.SkipReason;
-      Report.Files[I] = std::move(R);
+      Report.Files[I] = skippedFile(In.Path, In.SkipReason);
       return;
     }
     Report.Files[I] = analyzeFileCached(In.Path, Salt);
@@ -1241,23 +1226,38 @@ CorpusReport AnalysisEngine::analyzeCorpus(const std::vector<std::string> &Paths
   }
 
   Report.finalize();
+  endCacheRun(Before, Report.Stats);
 
   Report.Stats.Jobs = Jobs;
   Report.Stats.WallMs =
       std::chrono::duration<double, std::milli>(
           std::chrono::steady_clock::now() - Start)
           .count();
-  Report.Stats.CacheEnabled = Cache != nullptr;
-  if (Cache) {
-    sched::ResultCache::Stats After = Cache->stats();
-    Report.Stats.CacheHits = After.Hits - Before.Hits;
-    Report.Stats.CacheMisses = After.Misses - Before.Misses;
-    Report.Stats.CacheEvictions = After.Evictions - Before.Evictions;
-    Report.Stats.DiskHits = After.DiskHits - Before.DiskHits;
-    Report.Stats.CorruptEntries =
-        After.CorruptEntries - Before.CorruptEntries;
-  }
   return Report;
+}
+
+sched::ResultCache::Stats AnalysisEngine::beginCacheRun() {
+  ensureCache();
+  if (!Cache)
+    return {};
+  sched::ResultCache::Stats Before = Cache->stats();
+  Cache->openPack();
+  return Before;
+}
+
+void AnalysisEngine::endCacheRun(const sched::ResultCache::Stats &Before,
+                                 RunStats &Out) {
+  Out.CacheEnabled = Cache != nullptr;
+  if (!Cache)
+    return;
+  Cache->writePack();
+  sched::ResultCache::Stats After = Cache->stats();
+  Out.CacheHits = After.Hits - Before.Hits;
+  Out.CacheMisses = After.Misses - Before.Misses;
+  Out.CacheEvictions = After.Evictions - Before.Evictions;
+  Out.DiskHits = After.DiskHits - Before.DiskHits;
+  Out.CorruptEntries = After.CorruptEntries - Before.CorruptEntries;
+  Out.PackHits = After.PackHits - Before.PackHits;
 }
 
 //===----------------------------------------------------------------------===//
@@ -1270,11 +1270,8 @@ CorpusReport AnalysisEngine::analyzeCorpusLinked(
   CorpusReport Report;
   Report.Files.resize(Inputs.size());
 
-  ensureCache();
+  const sched::ResultCache::Stats Before = beginCacheRun();
   ensureSummaryDb();
-  sched::ResultCache::Stats Before;
-  if (Cache)
-    Before = Cache->stats();
   const uint64_t Salt = cacheSalt(Opts, detectorNames());
   const unsigned MaxRounds = Opts.MaxSummaryRounds ? Opts.MaxSummaryRounds : 8;
 
@@ -1388,11 +1385,7 @@ CorpusReport AnalysisEngine::analyzeCorpusLinked(
   RunParallel(Inputs.size(), [&](size_t I) {
     const corpus::CorpusInput &In = Inputs[I];
     if (!In.SkipReason.empty()) {
-      FileReport R;
-      R.Path = In.Path;
-      R.Status = EngineStatus::Skipped;
-      R.Reason = In.SkipReason;
-      Report.Files[I] = std::move(R);
+      Report.Files[I] = skippedFile(In.Path, In.SkipReason);
       return;
     }
     if (InputModule[I] == UINT32_MAX) {
@@ -1429,21 +1422,12 @@ CorpusReport AnalysisEngine::analyzeCorpusLinked(
   });
 
   Report.finalize();
+  endCacheRun(Before, Report.Stats);
 
   Report.Stats.Jobs = Jobs;
   Report.Stats.WallMs = std::chrono::duration<double, std::milli>(
                             std::chrono::steady_clock::now() - Start)
                             .count();
-  Report.Stats.CacheEnabled = Cache != nullptr;
-  if (Cache) {
-    sched::ResultCache::Stats After = Cache->stats();
-    Report.Stats.CacheHits = After.Hits - Before.Hits;
-    Report.Stats.CacheMisses = After.Misses - Before.Misses;
-    Report.Stats.CacheEvictions = After.Evictions - Before.Evictions;
-    Report.Stats.DiskHits = After.DiskHits - Before.DiskHits;
-    Report.Stats.CorruptEntries =
-        After.CorruptEntries - Before.CorruptEntries;
-  }
   Report.Stats.LinkEnabled = true;
   Report.Stats.LinkedFiles = static_cast<unsigned>(LinkInput.size());
   Report.Stats.LinkRounds = LR.Stats.Rounds;
@@ -1487,6 +1471,8 @@ std::string RunStats::renderLine() const {
   if (LinkEnabled)
     Out += "; " + std::to_string(ModulesDecoded) + " module(s) decoded, " +
            std::to_string(ModulesUnreferenced) + " unreferenced";
+  if (CacheEnabled)
+    Out += "; " + std::to_string(PackHits) + " entr(ies) from pack";
   return Out;
 }
 

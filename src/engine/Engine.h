@@ -116,6 +116,10 @@ struct RunStats {
   uint64_t CacheEvictions = 0;
   uint64_t DiskHits = 0;       ///< Subset of CacheHits served from disk.
   uint64_t CorruptEntries = 0; ///< Disk entries that degraded to misses.
+  /// Report and snapshot-blob lookups served from the cache pack
+  /// (sched::ResultCache::openPack); each is also a disk hit. In-process
+  /// runs only: a shard fleet never reads the pack.
+  uint64_t PackHits = 0;
 
   // Whole-program link step (all zero when the run was per-file).
   bool LinkEnabled = false;
@@ -411,6 +415,12 @@ private:
   CorpusReport
   analyzeCorpusLinked(std::vector<corpus::CorpusInput> Inputs,
                       std::chrono::steady_clock::time_point Start);
+  /// Brackets one in-process corpus run on the result cache:
+  /// beginCacheRun snapshots the counters and opens the pack; endCacheRun
+  /// writes the pack and fills \p Out's cache fields with the run's
+  /// deltas. Only analyzeCorpus's two drivers use the pack.
+  sched::ResultCache::Stats beginCacheRun();
+  void endCacheRun(const sched::ResultCache::Stats &Before, RunStats &Out);
   void ensureCache();
   void ensureSummaryDb();
   std::vector<std::string> detectorNames();

@@ -21,6 +21,12 @@
 ///    entry degrades to a cache miss — never a crash (PR 1's resilience
 ///    rules apply to the cache too).
 ///
+/// An in-process corpus run may also bracket itself with openPack() and
+/// writePack(): the pack (DiskDir/rscache.pack) holds every entry the
+/// previous such run served or stored, so a warm run reads one file and
+/// opens loose entries only for what changed. The loose entries stay the
+/// store of record; the pack is a read accelerator over them.
+///
 //===----------------------------------------------------------------------===//
 
 #ifndef RUSTSIGHT_SCHED_RESULTCACHE_H
@@ -30,11 +36,15 @@
 
 #include <cstdint>
 #include <list>
+#include <map>
+#include <memory>
 #include <mutex>
 #include <optional>
 #include <string>
 #include <string_view>
 #include <unordered_map>
+#include <utility>
+#include <vector>
 
 namespace rs::sched {
 
@@ -65,6 +75,12 @@ public:
     uint64_t BlobHits = 0;       ///< lookupBlob successes (either layer).
     uint64_t BlobMisses = 0;     ///< lookupBlob misses.
     uint64_t BlobDiskHits = 0;   ///< lookupBlob hits served from disk.
+    /// Report and blob hits served from the pack. Each also counts as a
+    /// disk hit of its kind (DiskHits or BlobDiskHits).
+    uint64_t PackHits = 0;
+    /// Loose entry files the disk layer tried to open (found or not).
+    uint64_t LooseReads = 0;
+    uint64_t PackWrites = 0; ///< Packs written by writePack().
   };
 
   ResultCache(); ///< Default options (memory-only, default cap).
@@ -94,30 +110,54 @@ public:
   void storeBlob(uint64_t Key, std::string_view Payload);
 
   /// A blob payload together with whatever owns its bytes: an owned heap
-  /// string (memory-layer hit, or the buffered fallback when mmap fails)
-  /// or a read-only file mapping the view borrows in place. Move-only;
-  /// bytes() is valid for the lifetime of the BlobRef.
+  /// string (memory-layer hit, or the buffered fallback when mmap fails),
+  /// the pack buffer, or a read-only file mapping the view borrows in
+  /// place. Move-only; bytes() is valid for the lifetime of the BlobRef.
   class BlobRef {
   public:
     std::string_view bytes() const {
-      return (Map ? Map.view() : std::string_view(Owned))
-          .substr(Off, Len);
+      std::string_view All = Map    ? Map.view()
+                             : Pack ? std::string_view(*Pack)
+                                    : std::string_view(Owned);
+      return All.substr(Off, Len);
     }
 
   private:
     friend class ResultCache;
     std::string Owned;
     MappedFile Map;
+    std::shared_ptr<const std::string> Pack; ///< A pack hit's buffer.
     size_t Off = 0;
     size_t Len = 0;
   };
 
-  /// Zero-copy variant of lookupBlob(): a disk hit maps the envelope and
-  /// returns a view of the payload without promoting it into the memory
-  /// layer — snapshot blobs are typically read once per (run, file), and
-  /// for the mapped path the OS page cache is the caching layer. Counters
-  /// move exactly as for lookupBlob(). Thread-safe.
+  /// Zero-copy variant of lookupBlob(): a pack hit views the pack buffer
+  /// and a loose disk hit maps the envelope, and neither is promoted into
+  /// the memory layer — snapshot blobs are typically read once per (run,
+  /// file), and for the mapped path the OS page cache is the caching
+  /// layer. Counters move exactly as for lookupBlob(). Thread-safe.
   std::optional<BlobRef> lookupBlobRef(uint64_t Key);
+
+  /// Reads DiskDir/rscache.pack whole (one read, no mapping, so another
+  /// process truncating it cannot fault this one) and validates its header
+  /// and index, then starts recording the working set: every key served or
+  /// stored until writePack(). Lookups then go memory -> pack -> loose;
+  /// a pack hit counts as a disk hit and is not promoted into memory. A
+  /// defective pack (bad magic, version skew, truncation, an index or
+  /// payload checksum mismatch) is ignored for the rest of the run and
+  /// counted as one corrupt entry; lookups fall through to the loose
+  /// entries. No-op without a DiskDir or once the disk layer is disabled.
+  /// Must not run concurrently with lookups or stores.
+  void openPack();
+
+  /// Ends recording and writes the recorded working set as the new pack
+  /// (temporary + atomic rename, like loose entries). Skips the write when
+  /// every entry served came from the pack and the set equals the pack. A
+  /// failed write takes the store() failure path: one StoreErrors count
+  /// and the one-time warning. No-op without a preceding openPack(). Must
+  /// not run concurrently with lookups or stores. Fault-injection probe
+  /// site: "cache.disk.store".
+  void writePack();
 
   /// True once a write failure has disabled the disk layer (memory layer
   /// unaffected). Always false when no DiskDir was configured.
@@ -136,6 +176,9 @@ public:
   /// The on-disk file name for a blob entry: "rscache-<16 hex>.bin".
   static std::string blobFileName(uint64_t Key);
 
+  /// The pack's file name: "rscache.pack", outside the rscache-* globs.
+  static std::string packFileName();
+
   /// The on-disk entry format version; bump when the envelope changes.
   static constexpr int64_t DiskFormatVersion = 1;
 
@@ -143,7 +186,40 @@ public:
   /// checksum + bytes); bump when the framing changes.
   static constexpr uint32_t DiskBlobFormatVersion = 1;
 
+  /// The pack format version ("RSCP" magic + version + entry count +
+  /// index checksum, then the sorted index, then the payloads).
+  static constexpr uint32_t PackFormatVersion = 1;
+
 private:
+  enum class EntryKind : uint32_t { Report = 0, Blob = 1 };
+
+  /// One validated pack index record; Payload views the pack buffer.
+  struct PackSlot {
+    uint64_t Key;
+    EntryKind Kind;
+    std::string_view Payload;
+    uint64_t Checksum;
+  };
+
+  /// One recorded working-set entry: a view into the pack buffer when the
+  /// pack served it, else its own copy.
+  struct WorkingEntry {
+    std::string Copy;
+    std::string_view PackBytes;
+    bool FromPack = false;
+    std::string_view bytes() const {
+      return FromPack ? PackBytes : std::string_view(Copy);
+    }
+  };
+
+  std::optional<BlobRef> lookupBlobImpl(uint64_t Key, bool PromoteDiskHit);
+  std::optional<std::string_view> packLookupLocked(uint64_t Key,
+                                                   EntryKind Kind);
+  void recordLocked(uint64_t Key, EntryKind Kind, std::string_view Bytes,
+                    bool FromPack);
+  void packDefectLocked();
+  void resetPackLocked();
+  void recordStoreFailure();
   std::optional<std::string> loadFromDisk(uint64_t Key);
   std::optional<BlobRef> loadBlobFromDisk(uint64_t Key);
   void storeToDisk(uint64_t Key, std::string_view Payload);
@@ -161,6 +237,16 @@ private:
   /// Set by the first disk write failure; gates both disk reads and
   /// writes from then on (guarded by M).
   bool DiskDisabledFlag = false;
+
+  // The pack and the recorded working set, between openPack() and
+  // writePack() (guarded by M).
+  bool Recording = false;
+  std::shared_ptr<const std::string> PackBuf; ///< Null: no usable pack.
+  std::vector<PackSlot> PackIndex;            ///< Sorted by (Key, Kind).
+  /// Set when the working set can differ from the pack: an entry served
+  /// from elsewhere, a store, or a defective pack.
+  bool PackDirty = false;
+  std::map<std::pair<uint64_t, EntryKind>, WorkingEntry> Working;
 };
 
 } // namespace rs::sched

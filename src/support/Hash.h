@@ -17,6 +17,8 @@
 #define RUSTSIGHT_SUPPORT_HASH_H
 
 #include <cstdint>
+#include <cstring>
+#include <string>
 #include <string_view>
 
 namespace rs {
@@ -48,6 +50,32 @@ constexpr uint64_t fnv1a64U64(uint64_t Value,
     H ^= (Value >> (8 * I)) & 0xff;
     H *= Fnv1a64Prime;
   }
+  return H;
+}
+
+/// 8-byte-chunk multiply-fold over \p Bytes. Byte-at-a-time FNV costs
+/// most of an order of magnitude more on large inputs, so the hot
+/// checksums (source fingerprints, module facts sections, cache pack
+/// payloads) use this instead. Like fnv1a64 it is part of on-disk
+/// formats: changing it requires bumping their versions.
+inline uint64_t hashCanonicalBytes(std::string_view Bytes) {
+  constexpr uint64_t M = 0x9e3779b97f4a7c15ull;
+  uint64_t H =
+      Fnv1a64OffsetBasis ^ (static_cast<uint64_t>(Bytes.size()) * M);
+  size_t I = 0;
+  for (; I + 8 <= Bytes.size(); I += 8) {
+    uint64_t Chunk;
+    std::memcpy(&Chunk, Bytes.data() + I, 8);
+    H = (H ^ Chunk) * M;
+  }
+  uint64_t Tail = 0;
+  for (unsigned Shift = 0; I < Bytes.size(); ++I, Shift += 8)
+    Tail |= static_cast<uint64_t>(static_cast<unsigned char>(Bytes[I]))
+            << Shift;
+  H = (H ^ Tail) * M;
+  H ^= H >> 32;
+  H *= M;
+  H ^= H >> 29;
   return H;
 }
 

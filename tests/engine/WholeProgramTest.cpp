@@ -18,6 +18,7 @@
 #include <filesystem>
 #include <fstream>
 #include <functional>
+#include <iterator>
 #include <string>
 #include <utility>
 #include <vector>
@@ -392,6 +393,9 @@ TEST(WholeProgram, DamagedFactsSectionIsAMissNotCorruption) {
         C.storeBlob(Key, Damage(*Bytes, *Snap));
       }
     }
+    // The pack holds intact copies of both blobs and would shadow the
+    // damaged loose entries.
+    fs::remove(CacheDir / sched::ResultCache::packFileName());
     AnalysisEngine E(Opts);
     CorpusReport R = E.analyzeCorpus({Dir.string()});
     EXPECT_EQ(R.renderJson(), Cold) << What;
@@ -408,3 +412,73 @@ TEST(WholeProgram, DamagedFactsSectionIsAMissNotCorruption) {
   }
 }
 
+
+TEST(WholeProgram, WarmRunReadsOnlyThePack) {
+  fs::path Dir = fs::path(testing::TempDir()) / "wp_pack_eval";
+  fs::path CacheDir = fs::path(testing::TempDir()) / "wp_pack_cache";
+  fs::remove_all(Dir);
+  fs::remove_all(CacheDir);
+  fs::copy(fs::path(RS_REPO_ROOT) / "examples/mir/eval", Dir);
+  const fs::path Pack = CacheDir / sched::ResultCache::packFileName();
+
+  EngineOptions Opts = baseOptions();
+  Opts.UseCache = true;
+  Opts.CacheDir = CacheDir.string();
+  std::string Cold;
+  {
+    AnalysisEngine E(Opts);
+    Cold = E.analyzeCorpus({Dir.string()}).renderJson();
+  }
+  ASSERT_TRUE(fs::exists(Pack));
+
+  for (unsigned Jobs : {1u, 4u}) {
+    Opts.Jobs = Jobs;
+    {
+      // Fully warm: every report and blob lookup is a pack hit, no loose
+      // entry is opened, and the pack is left as it is.
+      AnalysisEngine E(Opts);
+      CorpusReport R = E.analyzeCorpus({Dir.string()});
+      EXPECT_EQ(R.renderJson(), Cold) << "jobs=" << Jobs;
+      sched::ResultCache::Stats S = E.cache()->stats();
+      EXPECT_GT(S.PackHits, 0u);
+      EXPECT_EQ(S.PackHits, S.Hits + S.BlobHits) << R.Stats.renderLine();
+      EXPECT_EQ(S.Misses + S.BlobMisses, 0u) << R.Stats.renderLine();
+      EXPECT_EQ(S.LooseReads, 0u) << R.Stats.renderLine();
+      EXPECT_EQ(S.PackWrites, 0u) << R.Stats.renderLine();
+      EXPECT_EQ(R.Stats.PackHits, S.PackHits);
+      EXPECT_NE(R.Stats.renderLine().find(std::to_string(S.PackHits) +
+                                          " entr(ies) from pack"),
+                std::string::npos)
+          << R.Stats.renderLine();
+    }
+    {
+      // Absent: the loose entries serve the same bytes and the pack is
+      // written again.
+      fs::remove(Pack);
+      AnalysisEngine E(Opts);
+      CorpusReport R = E.analyzeCorpus({Dir.string()});
+      EXPECT_EQ(R.renderJson(), Cold) << "jobs=" << Jobs;
+      EXPECT_EQ(R.Stats.PackHits, 0u);
+      EXPECT_EQ(R.Stats.CorruptEntries, 0u);
+      EXPECT_EQ(E.cache()->stats().PackWrites, 1u);
+      EXPECT_TRUE(fs::exists(Pack));
+    }
+    {
+      // Corrupt: one corrupt count, the same bytes, a good pack after.
+      std::string Bytes;
+      {
+        std::ifstream In(Pack, std::ios::binary);
+        Bytes.assign(std::istreambuf_iterator<char>(In), {});
+      }
+      ASSERT_GT(Bytes.size(), 40u);
+      Bytes[30] = static_cast<char>(Bytes[30] ^ 0x01); // In the index.
+      std::ofstream(Pack, std::ios::binary | std::ios::trunc) << Bytes;
+      AnalysisEngine E(Opts);
+      CorpusReport R = E.analyzeCorpus({Dir.string()});
+      EXPECT_EQ(R.renderJson(), Cold) << "jobs=" << Jobs;
+      EXPECT_EQ(R.Stats.PackHits, 0u);
+      EXPECT_EQ(R.Stats.CorruptEntries, 1u);
+      EXPECT_EQ(E.cache()->stats().PackWrites, 1u);
+    }
+  }
+}

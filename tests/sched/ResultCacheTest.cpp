@@ -14,6 +14,7 @@
 
 #include <filesystem>
 #include <fstream>
+#include <functional>
 #include <sstream>
 #include <thread>
 #include <vector>
@@ -418,4 +419,227 @@ TEST(ResultCacheBlob, StoreFaultDisablesDiskLayerForBlobsToo) {
   // The memory layer still serves it.
   EXPECT_EQ(C.lookupBlob(5).value_or(""), "doomed");
   EXPECT_FALSE(fs::exists(Dir / ResultCache::blobFileName(5)));
+}
+
+//===----------------------------------------------------------------------===//
+// The pack (openPack/writePack): one file holding the working set of the
+// last bracketed run. A pack hit counts as a disk hit; a defective pack is
+// one corrupt count and a fall-through to the loose entries.
+//===----------------------------------------------------------------------===//
+
+namespace {
+
+/// Report and blob entries with distinct payloads; report key 1 sorts
+/// first in the pack, so its payload is the pack's first payload.
+const std::vector<std::pair<uint64_t, std::string>> PackReports = {
+    {1, "report one"}, {2, "report two"}, {3, "report three"}};
+const std::vector<std::pair<uint64_t, std::string>> PackBlobs = {
+    {10, binaryPayload()}, {11, "blob eleven"}};
+
+/// Stores every pack entry through a bracketed instance, so both the
+/// loose entries and the pack hold them.
+ResultCache::Options seedPackDir(const fs::path &Dir) {
+  ResultCache::Options O;
+  O.DiskDir = Dir.string();
+  ResultCache C(O);
+  C.openPack();
+  for (const auto &[Key, Payload] : PackReports)
+    C.store(Key, Payload);
+  for (const auto &[Key, Payload] : PackBlobs)
+    C.storeBlob(Key, Payload);
+  C.writePack();
+  EXPECT_EQ(C.stats().PackWrites, 1u);
+  return O;
+}
+
+/// Looks up every pack entry (reports first, in key order) and checks the
+/// payload bytes.
+void expectAllEntries(ResultCache &C, const std::string &What) {
+  for (const auto &[Key, Payload] : PackReports)
+    EXPECT_EQ(C.lookup(Key).value_or("<miss>"), Payload) << What;
+  for (const auto &[Key, Payload] : PackBlobs) {
+    std::optional<ResultCache::BlobRef> Ref = C.lookupBlobRef(Key);
+    ASSERT_TRUE(Ref.has_value()) << What;
+    EXPECT_EQ(Ref->bytes(), Payload) << What;
+  }
+}
+
+size_t tmpFilesIn(const fs::path &Dir) {
+  size_t N = 0;
+  for (const auto &E : fs::directory_iterator(Dir))
+    N += E.path().filename().string().find(".tmp.") != std::string::npos;
+  return N;
+}
+
+} // namespace
+
+TEST(ResultCachePack, RoundTripServesEveryEntryFromThePack) {
+  fs::path Dir = freshDir("rscache_pack_roundtrip");
+  ResultCache::Options O = seedPackDir(Dir);
+  ASSERT_TRUE(fs::exists(Dir / ResultCache::packFileName()));
+  EXPECT_EQ(ResultCache::packFileName(), "rscache.pack");
+
+  ResultCache C(O);
+  C.openPack();
+  expectAllEntries(C, "pack");
+  // lookupBlob serves the pack too, and copies.
+  EXPECT_EQ(C.lookupBlob(11).value_or("<miss>"), "blob eleven");
+  ResultCache::Stats S = C.stats();
+  EXPECT_EQ(S.Hits, 3u);
+  EXPECT_EQ(S.DiskHits, 3u);
+  EXPECT_EQ(S.BlobHits, 3u);
+  EXPECT_EQ(S.BlobDiskHits, 3u);
+  EXPECT_EQ(S.PackHits, 6u);
+  EXPECT_EQ(S.LooseReads, 0u);
+  EXPECT_EQ(S.CorruptEntries, 0u);
+  // Pack hits are not promoted into the memory layer.
+  EXPECT_EQ(C.memoryEntryCount(), 0u);
+  // Misses still fall through to the loose layer.
+  EXPECT_FALSE(C.lookup(99).has_value());
+  EXPECT_EQ(C.stats().LooseReads, 1u);
+}
+
+TEST(ResultCachePack, FullyWarmRerunDoesNotRewriteThePack) {
+  fs::path Dir = freshDir("rscache_pack_warm");
+  ResultCache::Options O = seedPackDir(Dir);
+  const std::string Before = readFile(Dir / ResultCache::packFileName());
+  {
+    ResultCache C(O);
+    C.openPack();
+    expectAllEntries(C, "warm");
+    C.writePack();
+    EXPECT_EQ(C.stats().PackWrites, 0u);
+  }
+  EXPECT_EQ(readFile(Dir / ResultCache::packFileName()), Before);
+
+  // A run that serves only part of the pack rewrites it to that part.
+  {
+    ResultCache C(O);
+    C.openPack();
+    EXPECT_TRUE(C.lookup(2).has_value());
+    C.writePack();
+    EXPECT_EQ(C.stats().PackWrites, 1u);
+  }
+  {
+    ResultCache C(O);
+    C.openPack();
+    EXPECT_TRUE(C.lookup(2).has_value());
+    EXPECT_TRUE(C.lookup(1).has_value()); // From the loose entry.
+    ResultCache::Stats S = C.stats();
+    EXPECT_EQ(S.PackHits, 1u);
+    EXPECT_EQ(S.LooseReads, 1u);
+    C.writePack(); // Key 1 came from the loose layer: rewritten.
+    EXPECT_EQ(C.stats().PackWrites, 1u);
+  }
+  EXPECT_EQ(tmpFilesIn(Dir), 0u);
+}
+
+TEST(ResultCachePack, EachDefectIsCountedOnceAndFallsThroughToLoose) {
+  fs::path Seed = freshDir("rscache_pack_defect_seed");
+  seedPackDir(Seed);
+  const std::string Good = readFile(Seed / ResultCache::packFileName());
+  const size_t IndexStart = 24;
+  const size_t FirstPayload =
+      IndexStart + 40 * (PackReports.size() + PackBlobs.size());
+  ASSERT_GT(Good.size(), FirstPayload);
+
+  using DamageFn = std::function<std::string(std::string)>;
+  auto Flip = [](size_t At) {
+    return [At](std::string B) {
+      B[At] = static_cast<char>(B[At] ^ 0x04);
+      return B;
+    };
+  };
+  std::vector<std::pair<const char *, DamageFn>> Damages = {
+      {"bad magic", Flip(0)},
+      {"version skew", Flip(4)},
+      {"truncated", [](std::string B) { return B.substr(0, B.size() - 1); }},
+      {"truncated header", [](std::string B) { return B.substr(0, 10); }},
+      {"index bit flip", Flip(IndexStart + 40 + 3)},
+      // Report key 1's payload, looked up first: the checksum catches it
+      // on that hit, before anything is served from the pack.
+      {"payload bit flip", Flip(FirstPayload)},
+  };
+  for (const auto &[What, Damage] : Damages) {
+    fs::path Dir = freshDir("rscache_pack_defect");
+    fs::copy(Seed, Dir, fs::copy_options::recursive);
+    std::ofstream(Dir / ResultCache::packFileName(),
+                  std::ios::binary | std::ios::trunc)
+        << Damage(Good);
+    ResultCache::Options O;
+    O.DiskDir = Dir.string();
+    {
+      ResultCache C(O);
+      C.openPack();
+      expectAllEntries(C, What);
+      ResultCache::Stats S = C.stats();
+      EXPECT_EQ(S.CorruptEntries, 1u) << What;
+      EXPECT_EQ(S.PackHits, 0u) << What;
+      EXPECT_EQ(S.LooseReads, PackReports.size() + PackBlobs.size()) << What;
+      EXPECT_EQ(S.Misses + S.BlobMisses, 0u) << What;
+      // The defective pack is replaced by a good one.
+      C.writePack();
+      EXPECT_EQ(C.stats().PackWrites, 1u) << What;
+    }
+    EXPECT_EQ(readFile(Dir / ResultCache::packFileName()), Good) << What;
+    ResultCache Again(O);
+    Again.openPack();
+    expectAllEntries(Again, What);
+    EXPECT_EQ(Again.stats().PackHits, PackReports.size() + PackBlobs.size())
+        << What;
+    EXPECT_EQ(Again.stats().CorruptEntries, 0u) << What;
+    EXPECT_EQ(tmpFilesIn(Dir), 0u) << What;
+  }
+}
+
+TEST(ResultCachePack, InstanceWithoutOpenPackNeverReadsOrRecords) {
+  fs::path Dir = freshDir("rscache_pack_unopened");
+  ResultCache::Options O = seedPackDir(Dir);
+  const std::string Before = readFile(Dir / ResultCache::packFileName());
+  // Without the loose entries only the pack could serve a hit.
+  fs::remove(Dir / ResultCache::entryFileName(1));
+  fs::remove(Dir / ResultCache::blobFileName(10));
+
+  ResultCache C(O);
+  EXPECT_FALSE(C.lookup(1).has_value());
+  EXPECT_FALSE(C.lookupBlobRef(10).has_value());
+  EXPECT_TRUE(C.lookup(2).has_value());
+  C.store(4, "never packed");
+  C.writePack(); // No openPack(): nothing was recorded, nothing written.
+  ResultCache::Stats S = C.stats();
+  EXPECT_EQ(S.PackHits, 0u);
+  EXPECT_EQ(S.PackWrites, 0u);
+  EXPECT_EQ(S.Misses, 1u);
+  EXPECT_EQ(S.BlobMisses, 1u);
+  EXPECT_EQ(readFile(Dir / ResultCache::packFileName()), Before);
+
+  // A memory-only cache has no pack to open.
+  ResultCache Mem;
+  Mem.openPack();
+  Mem.store(1, "x");
+  Mem.writePack();
+  EXPECT_EQ(Mem.stats().PackWrites, 0u);
+  EXPECT_EQ(Mem.stats().StoreErrors, 0u);
+}
+
+TEST(ResultCachePack, WriteFailureTakesTheStoreErrorPath) {
+  fs::path Dir = freshDir("rscache_pack_fault");
+  ResultCache::Options O;
+  O.DiskDir = Dir.string();
+  {
+    ResultCache Seed(O);
+    Seed.store(1, "loose only");
+  }
+  ResultCache C(O);
+  C.openPack();
+  EXPECT_EQ(C.lookup(1).value_or("<miss>"), "loose only");
+  {
+    rs::fault::ScopedFault F("cache.disk.store", 1);
+    C.writePack();
+  }
+  EXPECT_EQ(C.stats().StoreErrors, 1u);
+  EXPECT_EQ(C.stats().PackWrites, 0u);
+  EXPECT_TRUE(C.diskDisabled());
+  EXPECT_FALSE(fs::exists(Dir / ResultCache::packFileName()));
+  EXPECT_EQ(tmpFilesIn(Dir), 0u);
 }
