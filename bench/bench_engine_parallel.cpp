@@ -12,6 +12,7 @@
 #include "engine/Engine.h"
 #include "support/Json.h"
 
+#include <algorithm>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
@@ -89,13 +90,27 @@ struct DiskColdSamples {
   double SnapWarmMs;
 };
 
+/// Repetitions of each disk-cold configuration; odd, so the median is a
+/// sample.
+constexpr unsigned DiskColdReps = 31;
+
+double median(std::vector<double> V) {
+  std::sort(V.begin(), V.end());
+  return V[V.size() / 2];
+}
+
+/// The repetitions interleave the three configurations, so drift on a
+/// shared machine (frequency, neighbours) lands on all three alike, and
+/// each reports its median. Every cached repetition starts from a copy of
+/// one primed cache directory: a run's own stores — the invalidated run's
+/// reports, a pack compaction — must not change what the next one finds.
 DiskColdSamples measureDiskCold(unsigned Jobs) {
-  fs::path CacheDir =
-      fs::temp_directory_path() / "rustsight_bench_snapcache";
-  fs::remove_all(CacheDir);
+  fs::path Root = fs::temp_directory_path() / "rustsight_bench_snapcache";
+  fs::path Primed = Root / "primed", Scratch = Root / "run";
+  fs::remove_all(Root);
   EngineOptions Base;
   Base.Jobs = Jobs;
-  Base.CacheDir = CacheDir.string();
+  Base.CacheDir = Primed.string();
   {
     AnalysisEngine Prime(Base);
     Prime.analyzeCorpus({corpusDir()}); // Populate reports + snapshots.
@@ -104,31 +119,30 @@ DiskColdSamples measureDiskCold(unsigned Jobs) {
   EngineOptions NoCache;
   NoCache.Jobs = Jobs;
   NoCache.UseCache = false;
-  double NoCacheMs = 1e300, DiskWarmMs = 1e300, SnapWarmMs = 1e300;
-  for (int Rep = 0; Rep != 3; ++Rep) { // Fastest-of-3 per configuration.
-    // A fresh salt every rep: the rep's own report stores must not turn
-    // the next rep's snapshot measurement into a report-cache hit.
-    EngineOptions Invalidated = Base;
-    Invalidated.MaxSummaryRounds =
-        Base.MaxSummaryRounds + 1 + static_cast<unsigned>(Rep);
-    {
-      AnalysisEngine E(NoCache);
-      NoCacheMs =
-          std::min(NoCacheMs, E.analyzeCorpus({corpusDir()}).Stats.WallMs);
+  EngineOptions DiskWarm = Base;
+  DiskWarm.CacheDir = Scratch.string();
+  // A detector-option change: one more summary round than the cap the
+  // corpus converges within, so the analysis does the same work under a
+  // different cache salt and every report key misses.
+  EngineOptions Invalidated = DiskWarm;
+  Invalidated.MaxSummaryRounds = Base.MaxSummaryRounds + 1;
+
+  auto RunMs = [&](const EngineOptions &O) {
+    if (O.UseCache) {
+      fs::remove_all(Scratch);
+      fs::copy(Primed, Scratch, fs::copy_options::recursive);
     }
-    {
-      AnalysisEngine E(Base); // Fresh process-equivalent: disk serves.
-      DiskWarmMs =
-          std::min(DiskWarmMs, E.analyzeCorpus({corpusDir()}).Stats.WallMs);
-    }
-    {
-      AnalysisEngine E(Invalidated); // Snapshots serve, detectors re-run.
-      SnapWarmMs =
-          std::min(SnapWarmMs, E.analyzeCorpus({corpusDir()}).Stats.WallMs);
-    }
+    AnalysisEngine E(O);
+    return E.analyzeCorpus({corpusDir()}).Stats.WallMs;
+  };
+  std::vector<double> NoCacheMs, DiskWarmMs, SnapWarmMs;
+  for (unsigned Rep = 0; Rep != DiskColdReps; ++Rep) {
+    NoCacheMs.push_back(RunMs(NoCache));
+    DiskWarmMs.push_back(RunMs(DiskWarm));
+    SnapWarmMs.push_back(RunMs(Invalidated));
   }
-  fs::remove_all(CacheDir);
-  return {NoCacheMs, DiskWarmMs, SnapWarmMs};
+  fs::remove_all(Root);
+  return {median(NoCacheMs), median(DiskWarmMs), median(SnapWarmMs)};
 }
 
 } // namespace
@@ -153,7 +167,8 @@ static void printExperiment() {
 
   DiskColdSamples Disk = measureDiskCold(4);
   std::printf("\n  cold-corpus story at jobs=4 (fresh engine, persistent "
-              "disk cache):\n");
+              "disk cache; medians of %u interleaved runs):\n",
+              DiskColdReps);
   std::printf("  %-26s %10.2f ms\n", "no cache (parse+detect)",
               Disk.NoCacheMs);
   std::printf("  %-26s %10.2f ms  (%.1fx)\n", "disk-warm reports",
@@ -177,6 +192,7 @@ static void printExperiment() {
   W.value(Disk.DiskWarmMs > 0 ? Disk.NoCacheMs / Disk.DiskWarmMs : 0);
   W.key("snapshot_warm_speedup");
   W.value(Disk.SnapWarmMs > 0 ? Disk.NoCacheMs / Disk.SnapWarmMs : 0);
+  W.field("disk_cold_reps", int64_t(DiskColdReps));
   W.key("samples");
   W.beginArray();
   for (const Sample &S : Samples) {

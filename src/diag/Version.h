@@ -43,7 +43,11 @@ inline constexpr const char *ToolVersion = "0.7.0";
 /// v4: whole-program link step — secondary spans and fix-its may carry an
 /// explicit "file" when they point into a counterpart file instead of
 /// re-anchoring to the report's own path (docs/WHOLEPROGRAM.md).
-inline constexpr uint64_t ReportSchemaVersion = 4;
+/// v5: the report cache payload is binary (magic "RSFR", then this
+/// version, varints and length-prefixed strings) instead of JSON; v4
+/// entries miss instead of misparsing. The wire protocol and checkpoint
+/// journal stay JSON and carry the version in their "v" field.
+inline constexpr uint64_t ReportSchemaVersion = 5;
 
 /// Total rule-catalog size (diag::numRules(), re-exported here so version
 /// consumers need only this header).

@@ -435,9 +435,13 @@ bool severityFromName(std::string_view Name, diag::Severity &Out) {
 /// carry an explicit "file" only when they point into a counterpart file
 /// (whole-program link findings, schema v4) — those names are corpus
 /// identities and must survive the round trip verbatim.
+bool isCounterpart(const SourceLocation &Loc, const std::string &OwnPath) {
+  return Loc.isValid() && !Loc.file().empty() && Loc.file() != OwnPath;
+}
+
 void writeCounterpartFile(JsonWriter &W, const SourceLocation &Loc,
                           const std::string &OwnPath) {
-  if (Loc.isValid() && !Loc.file().empty() && Loc.file() != OwnPath)
+  if (isCounterpart(Loc, OwnPath))
     W.field("file", Loc.file());
 }
 
@@ -554,80 +558,234 @@ bool readCachedDiagnostic(const JsonValue &V, const std::string *File,
 
 } // namespace
 
+//===----------------------------------------------------------------------===//
+// Report cache payloads
+//===----------------------------------------------------------------------===//
+//
+// A cached FileReport is binary: magic "RSFR", the schema version, the
+// detector outcomes (count, then name and finding count each), the findings
+// and the notices (count, then one diagnostic each), and the suppressed-
+// finding count. A diagnostic is its rule string ID, severity, function,
+// block, statement index, message and primary location, then its secondary
+// spans (location, function, label), notes and fix-its (location,
+// replacement, description), each list a count plus its items. A location
+// is line, column and a counterpart file name, empty when the location
+// re-anchors to the report's own path (see isCounterpart). Every
+// integer is a LEB128 varint and every string a varint length plus bytes.
+// Anything that does not decode exactly, to the last byte, is a miss.
+
+namespace {
+
+constexpr char ReportMagic[4] = {'R', 'S', 'F', 'R'};
+
+void putVarint(std::string &Out, uint64_t V) {
+  while (V >= 0x80) {
+    Out.push_back(static_cast<char>(V | 0x80));
+    V >>= 7;
+  }
+  Out.push_back(static_cast<char>(V));
+}
+
+void putString(std::string &Out, std::string_view S) {
+  putVarint(Out, S.size());
+  Out += S;
+}
+
+void putLoc(std::string &Out, const SourceLocation &Loc,
+            const std::string &OwnPath) {
+  putVarint(Out, Loc.line());
+  putVarint(Out, Loc.column());
+  putString(Out, isCounterpart(Loc, OwnPath) ? std::string_view(Loc.file())
+                                             : std::string_view());
+}
+
+void putDiagnostic(std::string &Out, const diag::Diagnostic &D,
+                   const std::string &OwnPath) {
+  putString(Out, diag::ruleStringId(D.Kind));
+  putVarint(Out, static_cast<uint64_t>(D.Sev));
+  putString(Out, D.Function);
+  putVarint(Out, D.Block);
+  putVarint(Out, D.StmtIndex);
+  putString(Out, D.Message);
+  putLoc(Out, D.Loc, OwnPath);
+  putVarint(Out, D.Secondary.size());
+  for (const diag::Span &S : D.Secondary) {
+    putLoc(Out, S.Loc, OwnPath);
+    putString(Out, S.Function);
+    putString(Out, S.Label);
+  }
+  putVarint(Out, D.Notes.size());
+  for (const std::string &N : D.Notes)
+    putString(Out, N);
+  putVarint(Out, D.Fixes.size());
+  for (const diag::FixIt &F : D.Fixes) {
+    putLoc(Out, F.Loc, OwnPath);
+    putString(Out, F.Replacement);
+    putString(Out, F.Description);
+  }
+}
+
+/// Bounds-checked reader for the engine's binary payloads (report entries
+/// and module-blob facts sections); any overrun or malformed varint
+/// latches Ok = false and reads as zero or empty from then on.
+struct ByteReader {
+  std::string_view B;
+  size_t Pos = 0;
+  bool Ok = true;
+
+  /// A little-endian integer of \p Bytes bytes.
+  uint64_t get(unsigned Bytes) {
+    if (!Ok || B.size() - Pos < Bytes) {
+      Ok = false;
+      return 0;
+    }
+    uint64_t V = 0;
+    for (unsigned I = 0; I != Bytes; ++I)
+      V |= uint64_t(static_cast<unsigned char>(B[Pos + I])) << (8 * I);
+    Pos += Bytes;
+    return V;
+  }
+
+  /// A string with a 4-byte little-endian length.
+  std::string_view bytes() { return take(get(4)); }
+
+  /// A LEB128 varint.
+  uint64_t varint() {
+    uint64_t V = 0;
+    for (unsigned Shift = 0; Ok && Pos != B.size(); Shift += 7) {
+      uint64_t Byte = static_cast<unsigned char>(B[Pos++]);
+      // The tenth byte may only carry the top bit of a 64-bit value.
+      if (Shift == 63 && Byte > 1)
+        break;
+      V |= (Byte & 0x7f) << Shift;
+      if (!(Byte & 0x80))
+        return V;
+    }
+    Ok = false;
+    return 0;
+  }
+
+  /// A list length. Every item takes at least one byte, so a length past
+  /// the bytes left is a lie.
+  uint64_t count() {
+    uint64_t N = varint();
+    if (N > B.size() - Pos)
+      Ok = false;
+    return Ok ? N : 0;
+  }
+
+  /// A string with a varint length.
+  std::string_view str() { return take(varint()); }
+
+private:
+  std::string_view take(uint64_t Len) {
+    if (!Ok || Len > B.size() - Pos) {
+      Ok = false;
+      return {};
+    }
+    std::string_view S = B.substr(Pos, Len);
+    Pos += Len;
+    return S;
+  }
+};
+
+SourceLocation readLoc(ByteReader &R, const std::string *File) {
+  unsigned Line = static_cast<unsigned>(R.varint());
+  unsigned Col = static_cast<unsigned>(R.varint());
+  std::string_view Counterpart = R.str();
+  if (Line == 0)
+    return SourceLocation();
+  if (!Counterpart.empty())
+    File = internFileName(Counterpart);
+  return SourceLocation(File, Line, Col);
+}
+
+bool readDiagnostic(ByteReader &R, const std::string *File,
+                    diag::Diagnostic &D) {
+  if (!diag::ruleFromString(R.str(), D.Kind))
+    return false;
+  uint64_t Sev = R.varint();
+  if (Sev > static_cast<uint64_t>(diag::Severity::Note))
+    return false;
+  D.Sev = static_cast<diag::Severity>(Sev);
+  D.Function = R.str();
+  D.Block = static_cast<mir::BlockId>(R.varint());
+  D.StmtIndex = static_cast<size_t>(R.varint());
+  D.Message = R.str();
+  D.Loc = readLoc(R, File);
+  for (uint64_t I = 0, N = R.count(); I != N && R.Ok; ++I) {
+    diag::Span S;
+    S.Loc = readLoc(R, File);
+    S.Function = R.str();
+    S.Label = R.str();
+    D.Secondary.push_back(std::move(S));
+  }
+  for (uint64_t I = 0, N = R.count(); I != N && R.Ok; ++I)
+    D.Notes.emplace_back(R.str());
+  for (uint64_t I = 0, N = R.count(); I != N && R.Ok; ++I) {
+    diag::FixIt F;
+    F.Loc = readLoc(R, File);
+    F.Replacement = R.str();
+    F.Description = R.str();
+    D.Fixes.push_back(std::move(F));
+  }
+  return R.Ok;
+}
+
+} // namespace
+
 std::string rs::engine::serializeFileReport(const FileReport &R) {
-  JsonWriter W;
-  W.beginObject();
-  W.field("v", static_cast<int64_t>(ReportSchemaVersion));
-  W.key("detectors");
-  W.beginArray();
+  std::string Out(ReportMagic, 4);
+  putVarint(Out, ReportSchemaVersion);
+  putVarint(Out, R.Detectors.size());
   for (const DetectorOutcome &D : R.Detectors) {
-    W.beginObject();
-    W.field("name", D.Name);
-    W.field("findings", static_cast<int64_t>(D.Findings));
-    W.endObject();
+    putString(Out, D.Name);
+    putVarint(Out, D.Findings);
   }
-  W.endArray();
-  W.key("findings");
-  W.beginArray();
+  putVarint(Out, R.Findings.size());
   for (const detectors::Diagnostic &D : R.Findings)
-    writeCachedDiagnostic(W, D, R.Path);
-  W.endArray();
-  if (!R.Notices.empty()) {
-    W.key("notices");
-    W.beginArray();
-    for (const diag::Diagnostic &D : R.Notices)
-      writeCachedDiagnostic(W, D, R.Path);
-    W.endArray();
-  }
-  if (R.SuppressedFindings != 0)
-    W.field("suppressed", static_cast<int64_t>(R.SuppressedFindings));
-  W.endObject();
-  return W.str();
+    putDiagnostic(Out, D, R.Path);
+  putVarint(Out, R.Notices.size());
+  for (const diag::Diagnostic &D : R.Notices)
+    putDiagnostic(Out, D, R.Path);
+  putVarint(Out, R.SuppressedFindings);
+  return Out;
 }
 
 std::optional<FileReport>
 rs::engine::deserializeFileReport(std::string_view Payload,
                                   const std::string &Path) {
-  std::optional<JsonValue> Doc = JsonValue::parse(Payload);
-  if (!Doc || !Doc->isObject())
+  if (Payload.size() < 4 || std::memcmp(Payload.data(), ReportMagic, 4) != 0)
     return std::nullopt;
-  if (Doc->getInt("v", -1) != static_cast<int64_t>(ReportSchemaVersion))
-    return std::nullopt;
-  const JsonValue *Dets = Doc->get("detectors");
-  const JsonValue *Finds = Doc->get("findings");
-  if (!Dets || !Dets->isArray() || !Finds || !Finds->isArray())
+  ByteReader In{Payload, 4};
+  if (In.varint() != ReportSchemaVersion || !In.Ok)
     return std::nullopt;
 
   FileReport R;
   R.Path = Path;
   R.Status = EngineStatus::Ok; // Only clean reports are ever cached.
-  for (const JsonValue &D : Dets->elements()) {
-    if (!D.isObject())
-      return std::nullopt;
+  for (uint64_t I = 0, N = In.count(); I != N && In.Ok; ++I) {
     DetectorOutcome O;
-    O.Name = D.getString("name");
+    O.Name = In.str();
     O.Status = EngineStatus::Ok;
-    O.Findings = static_cast<size_t>(D.getInt("findings"));
+    O.Findings = static_cast<size_t>(In.varint());
     R.Detectors.push_back(std::move(O));
   }
   const std::string *File = internFileName(Path);
-  for (const JsonValue &F : Finds->elements()) {
-    detectors::Diagnostic D;
-    if (!readCachedDiagnostic(F, File, D))
-      return std::nullopt;
-    R.Findings.push_back(std::move(D));
-  }
-  if (const JsonValue *Notices = Doc->get("notices")) {
-    if (!Notices->isArray())
-      return std::nullopt;
-    for (const JsonValue &N : Notices->elements()) {
+  auto ReadDiagnostics = [&](std::vector<diag::Diagnostic> &Out) {
+    for (uint64_t I = 0, N = In.count(); I != N && In.Ok; ++I) {
       diag::Diagnostic D;
-      if (!readCachedDiagnostic(N, File, D))
-        return std::nullopt;
-      R.Notices.push_back(std::move(D));
+      if (!readDiagnostic(In, File, D))
+        return false;
+      Out.push_back(std::move(D));
     }
-  }
-  R.SuppressedFindings = static_cast<size_t>(Doc->getInt("suppressed", 0));
+    return In.Ok;
+  };
+  if (!ReadDiagnostics(R.Findings) || !ReadDiagnostics(R.Notices))
+    return std::nullopt;
+  R.SuppressedFindings = static_cast<size_t>(In.varint());
+  if (!In.Ok || In.Pos != Payload.size())
+    return std::nullopt;
   return R;
 }
 
@@ -802,36 +960,6 @@ void putBytes(std::string &Out, std::string_view S) {
   putLE(Out, S.size(), 4);
   Out += S;
 }
-
-/// Bounds-checked little-endian reader; any overrun latches Ok = false.
-struct ByteReader {
-  std::string_view B;
-  size_t Pos = 0;
-  bool Ok = true;
-
-  uint64_t get(unsigned Bytes) {
-    if (!Ok || B.size() - Pos < Bytes) {
-      Ok = false;
-      return 0;
-    }
-    uint64_t V = 0;
-    for (unsigned I = 0; I != Bytes; ++I)
-      V |= uint64_t(static_cast<unsigned char>(B[Pos + I])) << (8 * I);
-    Pos += Bytes;
-    return V;
-  }
-
-  std::string_view bytes() {
-    uint64_t Len = get(4);
-    if (!Ok || B.size() - Pos < Len) {
-      Ok = false;
-      return {};
-    }
-    std::string_view S = B.substr(Pos, Len);
-    Pos += Len;
-    return S;
-  }
-};
 
 std::string encodeFactsSection(const analysis::ModuleFacts &Facts,
                                uint64_t Fp) {
@@ -1247,6 +1375,7 @@ sched::ResultCache::Stats AnalysisEngine::beginCacheRun() {
 
 void AnalysisEngine::endCacheRun(const sched::ResultCache::Stats &Before,
                                  RunStats &Out) {
+  Out.InProcess = true;
   Out.CacheEnabled = Cache != nullptr;
   if (!Cache)
     return;
@@ -1468,10 +1597,13 @@ std::string RunStats::renderLine() const {
   Out += "; " + formatDouble(WallMs, 1) + " ms wall-clock, " +
          std::to_string(Jobs) + " job(s)";
   // Appended last so parsers of the fields above keep matching.
-  if (LinkEnabled)
-    Out += "; " + std::to_string(ModulesDecoded) + " module(s) decoded, " +
-           std::to_string(ModulesUnreferenced) + " unreferenced";
-  if (CacheEnabled)
+  if (LinkEnabled) {
+    Out += "; ";
+    if (InProcess)
+      Out += std::to_string(ModulesDecoded) + " module(s) decoded, ";
+    Out += std::to_string(ModulesUnreferenced) + " unreferenced";
+  }
+  if (CacheEnabled && InProcess)
     Out += "; " + std::to_string(PackHits) + " entr(ies) from pack";
   return Out;
 }

@@ -138,6 +138,10 @@ struct RunStats {
   /// blob's facts section to a report hit without a decode. A shard
   /// fleet's workers decode out of process and are not counted here.
   unsigned ModulesDecoded = 0;
+  /// True for a run of the in-process engine, false for a shard fleet.
+  /// A fleet does not measure ModulesDecoded or PackHits, so renderLine()
+  /// leaves those clauses out for it.
+  bool InProcess = false;
 
   /// One human-readable line, e.g.
   /// "cache: 3 hits, 5 misses, 0 evictions; 12.4 ms wall-clock, 8 jobs".
@@ -418,7 +422,8 @@ private:
   /// Brackets one in-process corpus run on the result cache:
   /// beginCacheRun snapshots the counters and opens the pack; endCacheRun
   /// writes the pack and fills \p Out's cache fields with the run's
-  /// deltas. Only analyzeCorpus's two drivers use the pack.
+  /// deltas (and marks it InProcess). Only analyzeCorpus's two drivers use
+  /// the pack.
   sched::ResultCache::Stats beginCacheRun();
   void endCacheRun(const sched::ResultCache::Stats &Before, RunStats &Out);
   void ensureCache();

@@ -43,8 +43,7 @@ std::optional<std::string> ResultCache::lookup(uint64_t Key) {
     if (It != Index.end()) {
       Lru.splice(Lru.begin(), Lru, It->second); // Touch: move to front.
       ++Counters.Hits;
-      recordLocked(Key, EntryKind::Report, It->second->second,
-                   /*FromPack=*/false);
+      recordLocked(Key, EntryKind::Report, It->second->second);
       return It->second->second;
     }
     if (std::optional<std::string_view> P =
@@ -59,7 +58,7 @@ std::optional<std::string> ResultCache::lookup(uint64_t Key) {
       std::lock_guard<std::mutex> Lock(M);
       ++Counters.Hits;
       ++Counters.DiskHits;
-      recordLocked(Key, EntryKind::Report, *Payload, /*FromPack=*/false);
+      recordLocked(Key, EntryKind::Report, *Payload);
       insertMemory(Key, *Payload);
       return Payload;
     }
@@ -72,8 +71,10 @@ std::optional<std::string> ResultCache::lookup(uint64_t Key) {
 void ResultCache::store(uint64_t Key, std::string_view Payload) {
   {
     std::lock_guard<std::mutex> Lock(M);
-    recordLocked(Key, EntryKind::Report, Payload, /*FromPack=*/false);
+    recordLocked(Key, EntryKind::Report, Payload);
     insertMemory(Key, std::string(Payload));
+    if (Recording)
+      return; // The pack is the run's store: writePack() writes it.
   }
   if (!Opts.DiskDir.empty() && !diskDisabled())
     storeToDisk(Key, Payload);
@@ -98,8 +99,7 @@ ResultCache::lookupBlobImpl(uint64_t Key, bool PromoteDiskHit) {
     if (It != Index.end()) {
       Lru.splice(Lru.begin(), Lru, It->second);
       ++Counters.BlobHits;
-      recordLocked(Key, EntryKind::Blob, It->second->second,
-                   /*FromPack=*/false);
+      recordLocked(Key, EntryKind::Blob, It->second->second);
       BlobRef R;
       R.Owned = It->second->second; // Copy: the LRU entry may be evicted.
       R.Len = R.Owned.size();
@@ -121,7 +121,7 @@ ResultCache::lookupBlobImpl(uint64_t Key, bool PromoteDiskHit) {
       std::lock_guard<std::mutex> Lock(M);
       ++Counters.BlobHits;
       ++Counters.BlobDiskHits;
-      recordLocked(Key, EntryKind::Blob, Ref->bytes(), /*FromPack=*/false);
+      recordLocked(Key, EntryKind::Blob, Ref->bytes());
       if (PromoteDiskHit)
         insertMemory(Key, std::string(Ref->bytes()));
       return Ref;
@@ -135,8 +135,10 @@ ResultCache::lookupBlobImpl(uint64_t Key, bool PromoteDiskHit) {
 void ResultCache::storeBlob(uint64_t Key, std::string_view Payload) {
   {
     std::lock_guard<std::mutex> Lock(M);
-    recordLocked(Key, EntryKind::Blob, Payload, /*FromPack=*/false);
+    recordLocked(Key, EntryKind::Blob, Payload);
     insertMemory(Key, std::string(Payload));
+    if (Recording)
+      return; // The pack is the run's store: writePack() writes it.
   }
   if (!Opts.DiskDir.empty() && !diskDisabled())
     storeBlobToDisk(Key, Payload);
@@ -261,6 +263,27 @@ bool ResultCache::writeDiskFile(const std::string &FileName,
   return true;
 }
 
+/// Appends \p Contents to DiskDir/FileName (created if missing) with one
+/// O_APPEND write, so concurrent appenders never interleave within it. A
+/// short write leaves a torn tail, which the next reader detects; it is
+/// reported as a failure, like any other write error.
+bool ResultCache::appendDiskFile(const std::string &FileName,
+                                 std::string_view Contents) {
+  std::error_code Ec;
+  fs::create_directories(Opts.DiskDir, Ec);
+  std::string Path = (fs::path(Opts.DiskDir) / FileName).string();
+  int Fd = ::open(Path.c_str(), O_WRONLY | O_APPEND | O_CREAT | O_CLOEXEC,
+                  0644);
+  if (Fd < 0)
+    return false;
+  ssize_t N;
+  do
+    N = ::write(Fd, Contents.data(), Contents.size());
+  while (N < 0 && errno == EINTR);
+  bool Ok = ::close(Fd) == 0 && N == static_cast<ssize_t>(Contents.size());
+  return Ok;
+}
+
 namespace {
 
 /// Little-endian fixed-width fields for the blob envelope.
@@ -291,13 +314,20 @@ uint64_t getU64LE(const char *P) {
 constexpr char BlobMagic[4] = {'R', 'S', 'C', 'B'};
 constexpr size_t BlobHeaderSize = 4 + 4 + 8 + 8 + 8;
 
-// The pack: header (magic, version, entry count, index checksum), then
-// one index record per entry (key, kind, payload offset, payload length,
-// payload checksum) sorted by (key, kind), then the payloads. Every
-// multi-byte field is little-endian; the checksums are hashCanonicalBytes.
+// The pack: a sequence of segments. A segment is a header (magic,
+// version, segment byte size, entry count, index checksum), one index
+// record per entry (key, kind, payload offset, payload length, payload
+// checksum) sorted by (key, kind), then the payloads; offsets count from
+// the segment's first byte. Every multi-byte field is little-endian. The
+// payload checksums are hashCanonicalBytes; the index checksum is that of
+// the index folded with the segment size.
 constexpr char PackMagic[4] = {'R', 'S', 'C', 'P'};
-constexpr size_t PackHeaderSize = 4 + 4 + 8 + 8;
+constexpr size_t SegmentHeaderSize = 4 + 4 + 8 + 8 + 8;
 constexpr size_t PackRecordSize = 5 * 8;
+
+uint64_t segmentIndexChecksum(std::string_view Index, uint64_t SegmentSize) {
+  return fnv1a64U64(SegmentSize, hashCanonicalBytes(Index));
+}
 
 } // namespace
 
@@ -419,9 +449,11 @@ std::optional<ResultCache::BlobRef> ResultCache::loadBlobFromDisk(
 /// Caller holds the mutex.
 void ResultCache::resetPackLocked() {
   Recording = false;
-  PackDirty = false;
+  PackDefective = false;
   Working.clear();
   PackIndex.clear();
+  PackSegments = 0;
+  PackPayloadBytes = 0;
   PackBuf.reset();
 }
 
@@ -429,7 +461,7 @@ void ResultCache::resetPackLocked() {
 /// their own checksum, so they stay recorded, as copies.
 void ResultCache::packDefectLocked() {
   ++Counters.CorruptEntries;
-  PackDirty = true;
+  PackDefective = true;
   for (auto &[Id, E] : Working)
     if (E.FromPack) {
       E.Copy = std::string(E.PackBytes);
@@ -439,43 +471,135 @@ void ResultCache::packDefectLocked() {
   PackBuf.reset();
 }
 
-/// Caller holds the mutex.
+/// Caller holds the mutex. \p FromPack is the pack slot that served
+/// \p Bytes (its checksum verified), or null for bytes from anywhere else.
 void ResultCache::recordLocked(uint64_t Key, EntryKind Kind,
-                               std::string_view Bytes, bool FromPack) {
+                               std::string_view Bytes,
+                               const PackSlot *FromPack) {
   if (!Recording)
     return;
   WorkingEntry &E = Working[{Key, Kind}];
-  E.FromPack = FromPack;
+  E.FromPack = FromPack != nullptr;
   if (FromPack) {
     E.PackBytes = Bytes;
+    E.Checksum = FromPack->Checksum;
     E.Copy.clear();
   } else {
     E.Copy = std::string(Bytes);
-    PackDirty = true;
   }
 }
 
-/// Caller holds the mutex. A hit is counted in PackHits and recorded; the
-/// caller counts it as a disk hit of its kind.
-std::optional<std::string_view>
-ResultCache::packLookupLocked(uint64_t Key, EntryKind Kind) {
-  if (!PackBuf || DiskDisabledFlag)
-    return std::nullopt;
+/// Caller holds the mutex. The pack's live entry for (Key, Kind), unverified.
+const ResultCache::PackSlot *ResultCache::packSlotLocked(uint64_t Key,
+                                                         EntryKind Kind) const {
+  if (!PackBuf)
+    return nullptr;
   auto It = std::lower_bound(
       PackIndex.begin(), PackIndex.end(), std::make_pair(Key, Kind),
       [](const PackSlot &S, const std::pair<uint64_t, EntryKind> &Id) {
         return std::make_pair(S.Key, S.Kind) < Id;
       });
   if (It == PackIndex.end() || It->Key != Key || It->Kind != Kind)
+    return nullptr;
+  return &*It;
+}
+
+/// Caller holds the mutex. A hit is counted in PackHits and recorded; the
+/// caller counts it as a disk hit of its kind.
+std::optional<std::string_view>
+ResultCache::packLookupLocked(uint64_t Key, EntryKind Kind) {
+  if (DiskDisabledFlag)
     return std::nullopt;
-  if (hashCanonicalBytes(It->Payload) != It->Checksum) {
+  const PackSlot *S = packSlotLocked(Key, Kind);
+  if (!S)
+    return std::nullopt;
+  if (hashCanonicalBytes(S->Payload) != S->Checksum) {
     packDefectLocked();
     return std::nullopt;
   }
-  std::string_view Payload = It->Payload;
+  std::string_view Payload = S->Payload;
   ++Counters.PackHits;
-  recordLocked(Key, Kind, Payload, /*FromPack=*/true);
+  recordLocked(Key, Kind, Payload, S);
   return Payload;
+}
+
+/// Caller holds the mutex. Indexes the valid segments of \p Bytes, a view
+/// of the buffer PackBuf will own; returns false when a segment fails
+/// validation (the segments before it stay indexed).
+bool ResultCache::loadPackLocked(std::string_view Bytes) {
+  // Indexes the segment at the front of Rest; false leaves PackIndex as
+  // it was.
+  auto LoadSegment = [&](std::string_view Rest) -> std::optional<size_t> {
+    if (Rest.size() < SegmentHeaderSize ||
+        std::memcmp(Rest.data(), PackMagic, 4) != 0)
+      return std::nullopt;
+    const char *P = Rest.data() + 4;
+    uint32_t Version = getU32LE(P);
+    uint64_t Size = getU64LE(P + 4);
+    uint64_t Count = getU64LE(P + 12);
+    uint64_t IndexChecksum = getU64LE(P + 20);
+    if (Version != PackFormatVersion || Size < SegmentHeaderSize ||
+        Size > Rest.size() ||
+        Count > (Size - SegmentHeaderSize) / PackRecordSize)
+      return std::nullopt;
+    std::string_view Segment = Rest.substr(0, Size);
+    const size_t PayloadStart = SegmentHeaderSize + Count * PackRecordSize;
+    std::string_view IndexBytes =
+        Segment.substr(SegmentHeaderSize, PayloadStart - SegmentHeaderSize);
+    if (segmentIndexChecksum(IndexBytes, Size) != IndexChecksum)
+      return std::nullopt;
+    const size_t FirstSlot = PackIndex.size();
+    PackIndex.reserve(FirstSlot + Count);
+    uint64_t PayloadBytes = 0;
+    for (uint64_t I = 0; I != Count; ++I) {
+      const char *R = IndexBytes.data() + I * PackRecordSize;
+      uint64_t Key = getU64LE(R);
+      uint64_t Kind = getU64LE(R + 8);
+      uint64_t Off = getU64LE(R + 16);
+      uint64_t Len = getU64LE(R + 24);
+      bool Sorted = PackIndex.size() == FirstSlot ||
+                    std::make_pair(PackIndex.back().Key,
+                                   uint64_t(PackIndex.back().Kind)) <
+                        std::make_pair(Key, Kind);
+      if (Kind > uint64_t(EntryKind::Blob) || Off < PayloadStart ||
+          Off > Size || Len > Size - Off || !Sorted) {
+        PackIndex.resize(FirstSlot);
+        return std::nullopt;
+      }
+      PackIndex.push_back(PackSlot{Key, EntryKind(Kind),
+                                   Segment.substr(Off, Len),
+                                   getU64LE(R + 32)});
+      PayloadBytes += Len;
+    }
+    PackPayloadBytes += PayloadBytes;
+    return Size;
+  };
+
+  bool Valid = true;
+  for (size_t Base = 0; Base != Bytes.size();) {
+    std::optional<size_t> Size = LoadSegment(Bytes.substr(Base));
+    if (!Size) {
+      Valid = false;
+      break;
+    }
+    ++PackSegments;
+    Base += *Size;
+  }
+  if (PackSegments > 1) {
+    // Each segment is sorted; a stable sort keeps equal keys in segment
+    // order, so the last of each run is the newest segment's entry.
+    auto Id = [](const PackSlot &S) { return std::make_pair(S.Key, S.Kind); };
+    std::stable_sort(PackIndex.begin(), PackIndex.end(),
+                     [&](const PackSlot &A, const PackSlot &B) {
+                       return Id(A) < Id(B);
+                     });
+    auto Newest = std::unique(PackIndex.rbegin(), PackIndex.rend(),
+                              [&](const PackSlot &A, const PackSlot &B) {
+                                return Id(A) == Id(B);
+                              });
+    PackIndex.erase(PackIndex.begin(), Newest.base());
+  }
+  return Valid;
 }
 
 void ResultCache::openPack() {
@@ -507,87 +631,114 @@ void ResultCache::openPack() {
   }
   ::close(Fd);
 
-  std::string_view Bytes(*Buf);
-  auto Valid = [&] {
-    if (!ReadOk || Bytes.size() < PackHeaderSize ||
-        std::memcmp(Bytes.data(), PackMagic, 4) != 0)
-      return false;
-    const char *P = Bytes.data() + 4;
-    uint32_t Version = getU32LE(P);
-    uint64_t Count = getU64LE(P + 4);
-    uint64_t IndexChecksum = getU64LE(P + 12);
-    if (Version != PackFormatVersion ||
-        Count > (Bytes.size() - PackHeaderSize) / PackRecordSize)
-      return false;
-    const size_t PayloadStart = PackHeaderSize + Count * PackRecordSize;
-    std::string_view IndexBytes =
-        Bytes.substr(PackHeaderSize, PayloadStart - PackHeaderSize);
-    if (hashCanonicalBytes(IndexBytes) != IndexChecksum)
-      return false;
-    PackIndex.reserve(Count);
-    for (uint64_t I = 0; I != Count; ++I) {
-      const char *R = IndexBytes.data() + I * PackRecordSize;
-      uint64_t Key = getU64LE(R);
-      uint64_t Kind = getU64LE(R + 8);
-      uint64_t Off = getU64LE(R + 16);
-      uint64_t Len = getU64LE(R + 24);
-      if (Kind > uint64_t(EntryKind::Blob) || Off < PayloadStart ||
-          Off > Bytes.size() || Len > Bytes.size() - Off)
-        return false;
-      PackSlot S{Key, EntryKind(Kind), Bytes.substr(Off, Len),
-                 getU64LE(R + 32)};
-      if (!PackIndex.empty() && std::make_pair(PackIndex.back().Key,
-                                               PackIndex.back().Kind) >=
-                                    std::make_pair(S.Key, S.Kind))
-        return false;
-      PackIndex.push_back(S);
-    }
-    return true;
-  };
-  if (!Valid()) {
-    PackIndex.clear();
+  if (!ReadOk || !loadPackLocked(*Buf)) {
     ++Counters.CorruptEntries;
-    PackDirty = true; // Rewrite it even if nothing else changes.
-    return;
+    PackDefective = true;
   }
-  PackBuf = std::move(Buf);
+  if (PackSegments != 0)
+    PackBuf = std::move(Buf);
 }
 
+namespace {
+
+/// One entry bound for a pack segment.
+struct SegmentEntry {
+  uint64_t Key;
+  uint32_t Kind;
+  std::string_view Bytes;
+  uint64_t Checksum;
+};
+
+/// Encodes \p Entries, sorted by (key, kind), as one pack segment.
+std::string encodeSegment(const std::vector<SegmentEntry> &Entries) {
+  std::string Index;
+  Index.reserve(Entries.size() * PackRecordSize);
+  uint64_t Offset = SegmentHeaderSize + Entries.size() * PackRecordSize;
+  for (const SegmentEntry &E : Entries) {
+    putU64LE(Index, E.Key);
+    putU64LE(Index, E.Kind);
+    putU64LE(Index, Offset);
+    putU64LE(Index, E.Bytes.size());
+    putU64LE(Index, E.Checksum);
+    Offset += E.Bytes.size();
+  }
+  std::string Segment;
+  Segment.reserve(Offset);
+  Segment.append(PackMagic, 4);
+  putU32LE(Segment, ResultCache::PackFormatVersion);
+  putU64LE(Segment, Offset);
+  putU64LE(Segment, Entries.size());
+  putU64LE(Segment, segmentIndexChecksum(Index, Offset));
+  Segment += Index;
+  for (const SegmentEntry &E : Entries)
+    Segment += E.Bytes;
+  return Segment;
+}
+
+} // namespace
+
 void ResultCache::writePack() {
-  std::string Pack;
+  std::string Segment;
+  bool Compact = false;
   {
     std::lock_guard<std::mutex> Lock(M);
-    bool Unchanged = !PackDirty && Working.size() == PackIndex.size();
-    if (!Recording || Unchanged || DiskDisabledFlag) {
+    if (!Recording || DiskDisabledFlag) {
       resetPackLocked();
       return;
     }
-    std::string Index;
-    size_t Offset = PackHeaderSize + Working.size() * PackRecordSize;
-    for (const auto &[Id, E] : Working) {
-      std::string_view Bytes = E.bytes();
-      putU64LE(Index, Id.first);
-      putU64LE(Index, static_cast<uint64_t>(Id.second));
-      putU64LE(Index, Offset);
-      putU64LE(Index, Bytes.size());
-      putU64LE(Index, hashCanonicalBytes(Bytes));
-      Offset += Bytes.size();
+    // Split the working set into what the pack already holds and what is
+    // new. An entry from elsewhere (memory, loose) whose bytes equal the
+    // pack's live entry is not new.
+    uint64_t PackLiveBytes = 0, NewBytes = 0;
+    size_t NewCount = 0;
+    for (auto &[Id, E] : Working) {
+      if (!E.FromPack)
+        if (const PackSlot *S = packSlotLocked(Id.first, Id.second))
+          if (S->Payload == E.Copy) {
+            E.FromPack = true;
+            E.PackBytes = S->Payload;
+            E.Checksum = S->Checksum;
+            E.Copy.clear();
+          }
+      if (E.FromPack) {
+        PackLiveBytes += E.PackBytes.size();
+      } else {
+        NewBytes += E.Copy.size();
+        ++NewCount;
+      }
     }
-    Pack.reserve(Offset);
-    Pack.append(PackMagic, 4);
-    putU32LE(Pack, PackFormatVersion);
-    putU64LE(Pack, Working.size());
-    putU64LE(Pack, hashCanonicalBytes(Index));
-    Pack += Index;
-    for (const auto &[Id, E] : Working)
-      Pack += E.bytes();
+    // Dead bytes: pack payloads this run's working set did not use. Each
+    // pack-served entry is a distinct live slot, so this cannot wrap.
+    uint64_t DeadBytes = PackPayloadBytes - PackLiveBytes;
+    Compact = PackDefective ||
+              (NewCount != 0 &&
+               (PackSegments >= MaxPackSegments ||
+                DeadBytes * 3 > PackLiveBytes + NewBytes));
+    if (NewCount == 0 && !Compact) {
+      resetPackLocked();
+      return;
+    }
+    std::vector<SegmentEntry> Entries;
+    Entries.reserve(Compact ? Working.size() : NewCount);
+    for (const auto &[Id, E] : Working) {
+      if (E.FromPack && !Compact)
+        continue;
+      Entries.push_back({Id.first, static_cast<uint32_t>(Id.second),
+                         E.bytes(),
+                         E.FromPack ? E.Checksum
+                                    : hashCanonicalBytes(E.Copy)});
+    }
+    Segment = encodeSegment(Entries);
     resetPackLocked();
   }
-  if (fault::shouldFail("cache.disk.store") ||
-      !writeDiskFile(packFileName(), Pack)) {
+  bool Ok = !fault::shouldFail("cache.disk.store") &&
+            (Compact ? writeDiskFile(packFileName(), Segment)
+                     : appendDiskFile(packFileName(), Segment));
+  if (!Ok) {
     recordStoreFailure();
     return;
   }
   std::lock_guard<std::mutex> Lock(M);
   ++Counters.PackWrites;
+  Counters.PackCompactions += Compact;
 }

@@ -22,10 +22,13 @@
 ///    rules apply to the cache too).
 ///
 /// An in-process corpus run may also bracket itself with openPack() and
-/// writePack(): the pack (DiskDir/rscache.pack) holds every entry the
-/// previous such run served or stored, so a warm run reads one file and
-/// opens loose entries only for what changed. The loose entries stay the
-/// store of record; the pack is a read accelerator over them.
+/// writePack(). While the pack (DiskDir/rscache.pack) is open it is the
+/// run's store: lookups go memory -> pack -> loose entries, and stores
+/// write no loose file but reach disk through writePack(), which appends
+/// one segment holding only the run's new entries. Runs that never open a
+/// pack (shard workers, serve, SummaryDb) keep reading and writing loose
+/// entries, and a packed run still reads loose entries as a fallback and
+/// folds what it finds there into the pack.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -80,7 +83,10 @@ public:
     uint64_t PackHits = 0;
     /// Loose entry files the disk layer tried to open (found or not).
     uint64_t LooseReads = 0;
-    uint64_t PackWrites = 0; ///< Packs written by writePack().
+    /// Pack writes by writePack(): appended segments and compactions.
+    uint64_t PackWrites = 0;
+    /// The subset of PackWrites that rewrote the pack as one segment.
+    uint64_t PackCompactions = 0;
   };
 
   ResultCache(); ///< Default options (memory-only, default cap).
@@ -90,7 +96,8 @@ public:
   /// promoted into the memory layer. Thread-safe.
   std::optional<std::string> lookup(uint64_t Key);
 
-  /// Stores \p Payload under \p Key in both layers. Disk failures are
+  /// Stores \p Payload under \p Key in both layers (between openPack()
+  /// and writePack() the disk layer is the pack). Disk failures are
   /// counted, not raised — and the first write failure (disk full,
   /// permission lost, directory unwritable) disables the disk layer for
   /// the rest of the run with a single stderr warning, so a sick
@@ -139,24 +146,32 @@ public:
   std::optional<BlobRef> lookupBlobRef(uint64_t Key);
 
   /// Reads DiskDir/rscache.pack whole (one read, no mapping, so another
-  /// process truncating it cannot fault this one) and validates its header
-  /// and index, then starts recording the working set: every key served or
-  /// stored until writePack(). Lookups then go memory -> pack -> loose;
-  /// a pack hit counts as a disk hit and is not promoted into memory. A
-  /// defective pack (bad magic, version skew, truncation, an index or
-  /// payload checksum mismatch) is ignored for the rest of the run and
-  /// counted as one corrupt entry; lookups fall through to the loose
-  /// entries. No-op without a DiskDir or once the disk layer is disabled.
+  /// process truncating it cannot fault this one) and validates its
+  /// segments in order, then starts recording the working set: every key
+  /// served or stored until writePack(). Lookups then go memory -> pack ->
+  /// loose, the newest segment holding a key wins, and a pack hit counts
+  /// as a disk hit and is not promoted into memory. The first segment that
+  /// fails validation (bad magic, version skew, a torn or truncated tail,
+  /// an index checksum mismatch) ends the pack: the segments before it
+  /// still serve, the defect counts as one corrupt entry, and writePack()
+  /// compacts. A payload checksum mismatch on a hit drops the whole pack
+  /// for the run (one corrupt entry; lookups fall through to the loose
+  /// entries). No-op without a DiskDir or once the disk layer is disabled.
   /// Must not run concurrently with lookups or stores.
   void openPack();
 
-  /// Ends recording and writes the recorded working set as the new pack
-  /// (temporary + atomic rename, like loose entries). Skips the write when
-  /// every entry served came from the pack and the set equals the pack. A
-  /// failed write takes the store() failure path: one StoreErrors count
-  /// and the one-time warning. No-op without a preceding openPack(). Must
-  /// not run concurrently with lookups or stores. Fault-injection probe
-  /// site: "cache.disk.store".
+  /// Ends recording and puts the run's new entries (stored, or served
+  /// from loose files) on disk: one segment appended to the pack with a
+  /// single O_APPEND write. Writes nothing when the run has nothing new
+  /// and the pack was intact. Compacts instead — the whole working set as
+  /// one segment, temporary + atomic rename, reusing the checksums the
+  /// pack hits verified — after a pack defect, when the pack already
+  /// holds MaxPackSegments segments, or when the pack's payload bytes the
+  /// run did not use exceed a third of the working set's. A failed write
+  /// takes the store() failure path: one StoreErrors count and the
+  /// one-time warning. No-op without a preceding openPack(). Must not run
+  /// concurrently with lookups or stores. Fault-injection probe site:
+  /// "cache.disk.store".
   void writePack();
 
   /// True once a write failure has disabled the disk layer (memory layer
@@ -186,9 +201,14 @@ public:
   /// checksum + bytes); bump when the framing changes.
   static constexpr uint32_t DiskBlobFormatVersion = 1;
 
-  /// The pack format version ("RSCP" magic + version + entry count +
-  /// index checksum, then the sorted index, then the payloads).
-  static constexpr uint32_t PackFormatVersion = 1;
+  /// The pack format version. A pack is a sequence of segments, each
+  /// valid on its own: "RSCP" magic + version + segment byte size + entry
+  /// count + index checksum, then the index sorted by (key, kind), then
+  /// the payloads, offsets relative to the segment.
+  static constexpr uint32_t PackFormatVersion = 2;
+
+  /// Segments a pack may hold; a write that would add one more compacts.
+  static constexpr size_t MaxPackSegments = 16;
 
 private:
   enum class EntryKind : uint32_t { Report = 0, Blob = 1 };
@@ -201,11 +221,12 @@ private:
     uint64_t Checksum;
   };
 
-  /// One recorded working-set entry: a view into the pack buffer when the
-  /// pack served it, else its own copy.
+  /// One recorded working-set entry: a view into the pack buffer and its
+  /// verified checksum when the pack served it, else its own copy.
   struct WorkingEntry {
     std::string Copy;
     std::string_view PackBytes;
+    uint64_t Checksum = 0;
     bool FromPack = false;
     std::string_view bytes() const {
       return FromPack ? PackBytes : std::string_view(Copy);
@@ -213,18 +234,21 @@ private:
   };
 
   std::optional<BlobRef> lookupBlobImpl(uint64_t Key, bool PromoteDiskHit);
+  const PackSlot *packSlotLocked(uint64_t Key, EntryKind Kind) const;
   std::optional<std::string_view> packLookupLocked(uint64_t Key,
                                                    EntryKind Kind);
   void recordLocked(uint64_t Key, EntryKind Kind, std::string_view Bytes,
-                    bool FromPack);
+                    const PackSlot *FromPack = nullptr);
   void packDefectLocked();
   void resetPackLocked();
+  bool loadPackLocked(std::string_view Bytes);
   void recordStoreFailure();
   std::optional<std::string> loadFromDisk(uint64_t Key);
   std::optional<BlobRef> loadBlobFromDisk(uint64_t Key);
   void storeToDisk(uint64_t Key, std::string_view Payload);
   void storeBlobToDisk(uint64_t Key, std::string_view Payload);
   bool writeDiskFile(const std::string &FileName, std::string_view Contents);
+  bool appendDiskFile(const std::string &FileName, std::string_view Contents);
   void insertMemory(uint64_t Key, std::string Payload);
 
   Options Opts;
@@ -242,10 +266,13 @@ private:
   // writePack() (guarded by M).
   bool Recording = false;
   std::shared_ptr<const std::string> PackBuf; ///< Null: no usable pack.
-  std::vector<PackSlot> PackIndex;            ///< Sorted by (Key, Kind).
-  /// Set when the working set can differ from the pack: an entry served
-  /// from elsewhere, a store, or a defective pack.
-  bool PackDirty = false;
+  /// The live entries of the valid segments, sorted by (Key, Kind); where
+  /// segments share a key the newest one's entry is kept.
+  std::vector<PackSlot> PackIndex;
+  size_t PackSegments = 0;      ///< Valid segments read.
+  uint64_t PackPayloadBytes = 0; ///< Their payload bytes, superseded too.
+  /// Set by a pack defect: the next writePack() compacts.
+  bool PackDefective = false;
   std::map<std::pair<uint64_t, EntryKind>, WorkingEntry> Working;
 };
 

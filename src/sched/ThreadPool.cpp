@@ -44,13 +44,19 @@ void ThreadPool::submit(Task T) {
                  Queues.size());
   }
   {
+    // In flight before a thief can see it: a sibling may pop, run and
+    // retire the task before this call returns, and wait() must not
+    // observe zero in between.
+    std::lock_guard<std::mutex> Lock(SleepM);
+    ++InFlightTasks;
+  }
+  {
     std::lock_guard<std::mutex> Lock(Queues[Q]->M);
     Queues[Q]->Deque.push_back(std::move(T));
   }
   {
     std::lock_guard<std::mutex> Lock(SleepM);
     ++QueuedTasks;
-    ++InFlightTasks;
   }
   WorkCv.notify_one();
 }

@@ -25,7 +25,14 @@ void JsonWriter::preValue() {
 
 void JsonWriter::appendEscaped(std::string_view S) {
   Out += '"';
-  for (char C : S) {
+  // Copy each run of bytes that need no escape in one append.
+  size_t Run = 0;
+  for (size_t I = 0; I != S.size(); ++I) {
+    unsigned char C = static_cast<unsigned char>(S[I]);
+    if (C >= 0x20 && C != '"' && C != '\\')
+      continue;
+    Out.append(S.data() + Run, I - Run);
+    Run = I + 1;
     switch (C) {
     case '"':
       Out += "\\\"";
@@ -42,16 +49,14 @@ void JsonWriter::appendEscaped(std::string_view S) {
     case '\r':
       Out += "\\r";
       break;
-    default:
-      if (static_cast<unsigned char>(C) < 0x20) {
-        char Buf[8];
-        std::snprintf(Buf, sizeof(Buf), "\\u%04x", C);
-        Out += Buf;
-      } else {
-        Out += C;
-      }
+    default: {
+      char Buf[8];
+      std::snprintf(Buf, sizeof(Buf), "\\u%04x", C);
+      Out += Buf;
+    }
     }
   }
+  Out.append(S.data() + Run, S.size() - Run);
   Out += '"';
 }
 

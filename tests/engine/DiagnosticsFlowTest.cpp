@@ -295,10 +295,13 @@ TEST(DiagnosticsFlow, CacheV2PayloadKeepsSuppressionState) {
 TEST(DiagnosticsFlow, StaleSchemaVersionMisses) {
   FileReport R = analyze(BuggySrc);
   std::string Payload = serializeFileReport(R);
-  std::string Current =
-      "\"v\":" + std::to_string(version::ReportSchemaVersion);
-  size_t Pos = Payload.find(Current);
-  ASSERT_NE(Pos, std::string::npos) << Payload;
-  Payload.replace(Pos, Current.size(), "\"v\":1");
-  EXPECT_FALSE(deserializeFileReport(Payload, "test.mir").has_value());
+  ASSERT_TRUE(deserializeFileReport(Payload, "test.mir").has_value());
+  // The schema version is the varint right after the 4-byte magic.
+  ASSERT_EQ(static_cast<uint64_t>(Payload[4]), version::ReportSchemaVersion);
+  for (uint64_t Skewed : {uint64_t(1), version::ReportSchemaVersion - 1,
+                          version::ReportSchemaVersion + 1}) {
+    Payload[4] = static_cast<char>(Skewed);
+    EXPECT_FALSE(deserializeFileReport(Payload, "test.mir").has_value())
+        << Skewed;
+  }
 }

@@ -262,15 +262,28 @@ TEST(ParallelEngine, CorruptDiskEntryDegradesToMissNotCrash) {
     AnalysisEngine E(O);
     Cold = E.analyzeCorpus({Dir.string()}).renderJson();
   }
-  // Vandalize every entry.
-  for (const auto &Entry : fs::directory_iterator(CacheDir))
+  // The corpus run wrote only the pack. Per-file runs, which never open
+  // it, put loose report and snapshot entries next to it.
+  {
+    AnalysisEngine E(O);
+    for (const auto &Entry : fs::recursive_directory_iterator(Dir))
+      if (Entry.path().extension() == ".mir")
+        E.analyzeFileThroughCache(Entry.path().string());
+  }
+  // Vandalize every entry, the pack included.
+  size_t Entries = 0;
+  for (const auto &Entry : fs::directory_iterator(CacheDir)) {
     std::ofstream(Entry.path(), std::ios::trunc) << "@@corrupt@@";
+    ++Entries;
+  }
+  ASSERT_GT(Entries, 5u);
   AnalysisEngine E(O);
   CorpusReport R = E.analyzeCorpus({Dir.string()});
   EXPECT_EQ(R.renderJson(), Cold);
   EXPECT_EQ(R.Stats.DiskHits, 0u);
-  // Five unique clean contents were on disk; every vandalized entry counts.
-  EXPECT_GE(R.Stats.CorruptEntries, 5u);
+  // The pack counts once; five unique clean contents had loose snapshot
+  // entries, and every vandalized entry looked up counts.
+  EXPECT_GE(R.Stats.CorruptEntries, 6u);
   fs::remove_all(Dir);
   fs::remove_all(CacheDir);
 }

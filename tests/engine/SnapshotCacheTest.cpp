@@ -13,6 +13,7 @@
 #include "diag/Version.h"
 #include "mir/Snapshot.h"
 #include "support/FaultInjection.h"
+#include "support/Json.h"
 
 #include <gtest/gtest.h>
 
@@ -189,10 +190,10 @@ TEST(SnapshotCache, SnapshotSchemaSkewIsAMissNotACrash) {
 }
 
 TEST(SnapshotCache, PreviousSchemaReportEntryIsColdNotCorrupt) {
-  // The satellite-6 contract: after the ReportSchemaVersion bump, an
-  // on-disk report entry whose payload says "v":<old> must behave like a
-  // cold cache — deserialization declines, the file is re-analyzed, and
-  // the corruption counter stays at zero (the envelope itself is fine).
+  // After a ReportSchemaVersion bump, an on-disk report entry whose
+  // payload carries the previous version must behave like a cold cache —
+  // deserialization declines, the file is re-analyzed, and the corruption
+  // counter stays at zero (the envelope itself is fine).
   fs::path CacheDir = freshCacheDir("snap_v2_cache");
   EngineOptions O;
   O.CacheDir = CacheDir.string();
@@ -213,13 +214,21 @@ TEST(SnapshotCache, PreviousSchemaReportEntryIsColdNotCorrupt) {
       Found = F.path();
     }
   ASSERT_EQ(JsonEntries, 1u);
-  std::string Text = readFile(Found);
-  std::string Cur = "\\\"v\\\":" + std::to_string(version::ReportSchemaVersion);
-  std::string Old = "\\\"v\\\":" + std::to_string(version::ReportSchemaVersion - 1);
-  size_t Pos = Text.find(Cur);
-  ASSERT_NE(Pos, std::string::npos) << Text;
-  Text.replace(Pos, Cur.size(), Old);
-  writeFile(Found, Text);
+  // The loose envelope is JSON with the binary payload as a string; the
+  // payload's schema version is the varint after its 4-byte magic.
+  std::optional<JsonValue> Envelope = JsonValue::parse(readFile(Found));
+  ASSERT_TRUE(Envelope && Envelope->isObject());
+  std::string Payload(Envelope->getString("payload"));
+  ASSERT_GT(Payload.size(), 4u);
+  ASSERT_EQ(static_cast<uint64_t>(Payload[4]), version::ReportSchemaVersion);
+  Payload[4] = static_cast<char>(version::ReportSchemaVersion - 1);
+  JsonWriter W;
+  W.beginObject();
+  W.field("version", Envelope->getInt("version"));
+  W.field("key", Envelope->getString("key"));
+  W.field("payload", Payload);
+  W.endObject();
+  writeFile(Found, W.str());
   // Drop the snapshot blob too so the rerun exercises the full cold path.
   fs::remove(snapshotPathFor(CacheDir, BuggySrc));
 

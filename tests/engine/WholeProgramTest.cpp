@@ -381,9 +381,12 @@ TEST(WholeProgram, DamagedFactsSectionIsAMissNotCorruption) {
   };
   for (const auto &[What, Damage] : Damages) {
     {
+      // Read both blobs through the pack and store the damaged ones back
+      // into it: the newest segment wins.
       sched::ResultCache::Options CO;
       CO.DiskDir = CacheDir.string();
       sched::ResultCache C(CO);
+      C.openPack();
       for (uint64_t Key : Keys) {
         std::optional<std::string> Bytes = C.lookupBlob(Key);
         ASSERT_TRUE(Bytes.has_value()) << What;
@@ -392,10 +395,10 @@ TEST(WholeProgram, DamagedFactsSectionIsAMissNotCorruption) {
         ASSERT_LT(*Snap, Bytes->size()) << What << ": no facts section";
         C.storeBlob(Key, Damage(*Bytes, *Snap));
       }
+      EXPECT_EQ(C.stats().PackHits, Keys.size()) << What;
+      C.writePack();
+      EXPECT_EQ(C.stats().PackWrites, 1u) << What;
     }
-    // The pack holds intact copies of both blobs and would shadow the
-    // damaged loose entries.
-    fs::remove(CacheDir / sched::ResultCache::packFileName());
     AnalysisEngine E(Opts);
     CorpusReport R = E.analyzeCorpus({Dir.string()});
     EXPECT_EQ(R.renderJson(), Cold) << What;
@@ -481,4 +484,121 @@ TEST(WholeProgram, WarmRunReadsOnlyThePack) {
       EXPECT_EQ(E.cache()->stats().PackWrites, 1u);
     }
   }
+}
+
+namespace {
+
+size_t looseEntriesIn(const fs::path &Dir) {
+  size_t N = 0;
+  for (const auto &E : fs::directory_iterator(Dir))
+    N += E.path().filename().string().rfind("rscache-", 0) == 0;
+  return N;
+}
+
+std::string readBytes(const fs::path &P) {
+  std::ifstream In(P, std::ios::binary);
+  return std::string(std::istreambuf_iterator<char>(In), {});
+}
+
+} // namespace
+
+TEST(WholeProgram, WarmEditWritesNoLooseEntries) {
+  fs::path Dir = fs::path(testing::TempDir()) / "wp_edit_eval";
+  fs::path CacheDir = fs::path(testing::TempDir()) / "wp_edit_cache";
+  fs::remove_all(Dir);
+  fs::remove_all(CacheDir);
+  fs::copy(fs::path(RS_REPO_ROOT) / "examples/mir/eval", Dir);
+  const fs::path Pack = CacheDir / sched::ResultCache::packFileName();
+
+  EngineOptions Opts = baseOptions();
+  Opts.UseCache = true;
+  Opts.CacheDir = CacheDir.string();
+  {
+    AnalysisEngine E(Opts);
+    E.analyzeCorpus({Dir.string()});
+  }
+  // What is loose now belongs to the SummaryDb, which never opens a pack.
+  const size_t Loose = looseEntriesIn(CacheDir);
+  const std::string Before = readBytes(Pack);
+  ASSERT_FALSE(Before.empty());
+
+  // A caller no other file calls: its report and snapshot are new, and
+  // the SummaryDb is not consulted for it.
+  std::ofstream(Dir / "xfile_uaf_bug_0_use.mir", std::ios::app)
+      << "// edited\n";
+  AnalysisEngine E(Opts);
+  CorpusReport R = E.analyzeCorpus({Dir.string()});
+  EXPECT_EQ(looseEntriesIn(CacheDir), Loose) << R.Stats.renderLine();
+  EXPECT_EQ(R.Stats.CacheMisses, 1u) << R.Stats.renderLine();
+  sched::ResultCache::Stats S = E.cache()->stats();
+  EXPECT_EQ(S.PackWrites, 1u);
+  EXPECT_EQ(S.PackCompactions, 0u);
+  // One segment appended behind the untouched old bytes.
+  const std::string After = readBytes(Pack);
+  EXPECT_GT(After.size(), Before.size());
+  EXPECT_EQ(After.substr(0, Before.size()), Before);
+
+  AnalysisEngine NoCache(baseOptions());
+  EXPECT_EQ(R.renderJson(), NoCache.analyzeCorpus({Dir.string()}).renderJson());
+}
+
+TEST(WholeProgram, FleetAndInProcessRunsShareACacheDir) {
+  fs::path Dir = writePair("wp_share", UafUseSrc, UafDefSrc);
+  std::ofstream(Dir / "c_dl_def.mir") << DlDefSrc;
+  std::ofstream(Dir / "d_dl_use.mir") << DlUseSrc;
+  const std::string Want =
+      AnalysisEngine(baseOptions()).analyzeCorpus({Dir.string()}).renderJson();
+
+  EngineOptions Opts = baseOptions();
+  Opts.UseCache = true;
+  auto Fleet = [&](const fs::path &CacheDir) {
+    SupervisorOptions SO;
+    SO.Engine = Opts;
+    SO.Engine.CacheDir = CacheDir.string();
+    SO.Shards = 2;
+    SO.BackoffMs = 1;
+    SO.WorkerExe = RS_RUSTSIGHT_BIN;
+    return Supervisor(std::move(SO)).run({Dir.string()});
+  };
+  auto InProcess = [&](const fs::path &CacheDir) {
+    EngineOptions O = Opts;
+    O.CacheDir = CacheDir.string();
+    return AnalysisEngine(O).analyzeCorpus({Dir.string()});
+  };
+
+  // Fleet first: its workers write loose entries, which the in-process
+  // run reads and folds into the pack.
+  fs::path CacheDir = fs::path(testing::TempDir()) / "wp_share_fleet_first";
+  fs::remove_all(CacheDir);
+  CorpusReport R = Fleet(CacheDir);
+  EXPECT_EQ(R.renderJson(), Want);
+  // The fleet measures neither decodes nor pack hits, so its stats line
+  // leaves them out; it does count unreferenced modules.
+  std::string Line = R.Stats.renderLine();
+  EXPECT_EQ(Line.find("decoded"), std::string::npos) << Line;
+  EXPECT_EQ(Line.find("from pack"), std::string::npos) << Line;
+  EXPECT_NE(Line.find(" unreferenced"), std::string::npos) << Line;
+  EXPECT_FALSE(fs::exists(CacheDir / sched::ResultCache::packFileName()));
+  R = InProcess(CacheDir);
+  EXPECT_EQ(R.renderJson(), Want);
+  EXPECT_GT(R.Stats.DiskHits, 0u) << R.Stats.renderLine();
+  EXPECT_EQ(R.Stats.CacheMisses, 0u) << R.Stats.renderLine();
+  R = InProcess(CacheDir);
+  EXPECT_EQ(R.renderJson(), Want);
+  EXPECT_GT(R.Stats.PackHits, 0u);
+  Line = R.Stats.renderLine();
+  EXPECT_NE(Line.find(" module(s) decoded, "), std::string::npos) << Line;
+  EXPECT_NE(Line.find(std::to_string(R.Stats.PackHits) + " entr(ies) from pack"),
+            std::string::npos)
+      << Line;
+
+  // In-process first: the pack is its only store, so a fleet right after
+  // finds no loose entries and runs cold — with the same bytes.
+  CacheDir = fs::path(testing::TempDir()) / "wp_share_in_process_first";
+  fs::remove_all(CacheDir);
+  EXPECT_EQ(InProcess(CacheDir).renderJson(), Want);
+  const size_t Loose = looseEntriesIn(CacheDir);
+  EXPECT_EQ(Fleet(CacheDir).renderJson(), Want);
+  // Cold: its workers stored every report and snapshot as loose entries.
+  EXPECT_GT(looseEntriesIn(CacheDir), Loose);
 }

@@ -422,9 +422,10 @@ TEST(ResultCacheBlob, StoreFaultDisablesDiskLayerForBlobsToo) {
 }
 
 //===----------------------------------------------------------------------===//
-// The pack (openPack/writePack): one file holding the working set of the
-// last bracketed run. A pack hit counts as a disk hit; a defective pack is
-// one corrupt count and a fall-through to the loose entries.
+// The pack (openPack/writePack): the store of a bracketed run, a sequence
+// of segments each run appends its new entries to. A pack hit counts as a
+// disk hit; a defective pack is one corrupt count, a fall-through to the
+// loose entries, and a compaction on the next write.
 //===----------------------------------------------------------------------===//
 
 namespace {
@@ -436,20 +437,55 @@ const std::vector<std::pair<uint64_t, std::string>> PackReports = {
 const std::vector<std::pair<uint64_t, std::string>> PackBlobs = {
     {10, binaryPayload()}, {11, "blob eleven"}};
 
-/// Stores every pack entry through a bracketed instance, so both the
-/// loose entries and the pack hold them.
+/// Stores every pack entry as a loose entry through an instance that
+/// never opens a pack, then folds them into the pack through a bracketed
+/// instance that reads them, so both the loose entries and the pack (one
+/// segment) hold them.
 ResultCache::Options seedPackDir(const fs::path &Dir) {
   ResultCache::Options O;
   O.DiskDir = Dir.string();
+  {
+    ResultCache Loose(O);
+    for (const auto &[Key, Payload] : PackReports)
+      Loose.store(Key, Payload);
+    for (const auto &[Key, Payload] : PackBlobs)
+      Loose.storeBlob(Key, Payload);
+  }
   ResultCache C(O);
   C.openPack();
   for (const auto &[Key, Payload] : PackReports)
-    C.store(Key, Payload);
+    EXPECT_TRUE(C.lookup(Key).has_value());
   for (const auto &[Key, Payload] : PackBlobs)
-    C.storeBlob(Key, Payload);
+    EXPECT_TRUE(C.lookupBlobRef(Key).has_value());
   C.writePack();
   EXPECT_EQ(C.stats().PackWrites, 1u);
   return O;
+}
+
+/// The byte sizes of the pack's leading segments that carry a plausible
+/// header (v2 layout: magic, version, then the segment size at byte 8).
+std::vector<size_t> segmentSizes(const std::string &Pack) {
+  std::vector<size_t> Sizes;
+  for (size_t Base = 0; Pack.size() - Base >= 32;) {
+    if (Pack.compare(Base, 4, "RSCP") != 0)
+      break;
+    uint64_t Size = 0;
+    for (int I = 0; I != 8; ++I)
+      Size |= uint64_t(static_cast<unsigned char>(Pack[Base + 8 + I]))
+              << (8 * I);
+    if (Size < 32 || Size > Pack.size() - Base)
+      break;
+    Sizes.push_back(Size);
+    Base += Size;
+  }
+  return Sizes;
+}
+
+size_t looseEntriesIn(const fs::path &Dir) {
+  size_t N = 0;
+  for (const auto &E : fs::directory_iterator(Dir))
+    N += E.path().filename().string().rfind("rscache-", 0) == 0;
+  return N;
 }
 
 /// Looks up every pack entry (reports first, in key order) and checks the
@@ -503,6 +539,7 @@ TEST(ResultCachePack, FullyWarmRerunDoesNotRewriteThePack) {
   fs::path Dir = freshDir("rscache_pack_warm");
   ResultCache::Options O = seedPackDir(Dir);
   const std::string Before = readFile(Dir / ResultCache::packFileName());
+  ASSERT_EQ(segmentSizes(Before).size(), 1u);
   {
     ResultCache C(O);
     C.openPack();
@@ -512,25 +549,45 @@ TEST(ResultCachePack, FullyWarmRerunDoesNotRewriteThePack) {
   }
   EXPECT_EQ(readFile(Dir / ResultCache::packFileName()), Before);
 
-  // A run that serves only part of the pack rewrites it to that part.
+  // A run that serves only part of the pack and adds nothing leaves it as
+  // it is too.
   {
     ResultCache C(O);
     C.openPack();
     EXPECT_TRUE(C.lookup(2).has_value());
     C.writePack();
-    EXPECT_EQ(C.stats().PackWrites, 1u);
+    EXPECT_EQ(C.stats().PackWrites, 0u);
   }
+  EXPECT_EQ(readFile(Dir / ResultCache::packFileName()), Before);
+
+  // An entry the run read from the loose layer is new to the pack: it is
+  // appended as one segment behind the untouched old bytes.
+  ResultCache(O).store(4, "report four");
   {
     ResultCache C(O);
     C.openPack();
-    EXPECT_TRUE(C.lookup(2).has_value());
-    EXPECT_TRUE(C.lookup(1).has_value()); // From the loose entry.
+    expectAllEntries(C, "warm plus loose");
+    EXPECT_EQ(C.lookup(4).value_or("<miss>"), "report four");
     ResultCache::Stats S = C.stats();
-    EXPECT_EQ(S.PackHits, 1u);
+    EXPECT_EQ(S.PackHits, PackReports.size() + PackBlobs.size());
     EXPECT_EQ(S.LooseReads, 1u);
-    C.writePack(); // Key 1 came from the loose layer: rewritten.
+    C.writePack();
     EXPECT_EQ(C.stats().PackWrites, 1u);
+    EXPECT_EQ(C.stats().PackCompactions, 0u);
   }
+  const std::string After = readFile(Dir / ResultCache::packFileName());
+  EXPECT_EQ(After.substr(0, Before.size()), Before);
+  EXPECT_EQ(segmentSizes(After).size(), 2u);
+  {
+    ResultCache C(O);
+    C.openPack();
+    expectAllEntries(C, "appended");
+    EXPECT_EQ(C.lookup(4).value_or("<miss>"), "report four");
+    EXPECT_EQ(C.stats().LooseReads, 0u);
+    C.writePack();
+    EXPECT_EQ(C.stats().PackWrites, 0u);
+  }
+  EXPECT_EQ(readFile(Dir / ResultCache::packFileName()), After);
   EXPECT_EQ(tmpFilesIn(Dir), 0u);
 }
 
@@ -538,7 +595,8 @@ TEST(ResultCachePack, EachDefectIsCountedOnceAndFallsThroughToLoose) {
   fs::path Seed = freshDir("rscache_pack_defect_seed");
   seedPackDir(Seed);
   const std::string Good = readFile(Seed / ResultCache::packFileName());
-  const size_t IndexStart = 24;
+  ASSERT_EQ(segmentSizes(Good).size(), 1u);
+  const size_t IndexStart = 32;
   const size_t FirstPayload =
       IndexStart + 40 * (PackReports.size() + PackBlobs.size());
   ASSERT_GT(Good.size(), FirstPayload);
@@ -553,6 +611,7 @@ TEST(ResultCachePack, EachDefectIsCountedOnceAndFallsThroughToLoose) {
   std::vector<std::pair<const char *, DamageFn>> Damages = {
       {"bad magic", Flip(0)},
       {"version skew", Flip(4)},
+      {"segment size skew", Flip(8 + 5)},
       {"truncated", [](std::string B) { return B.substr(0, B.size() - 1); }},
       {"truncated header", [](std::string B) { return B.substr(0, 10); }},
       {"index bit flip", Flip(IndexStart + 40 + 3)},
@@ -580,6 +639,7 @@ TEST(ResultCachePack, EachDefectIsCountedOnceAndFallsThroughToLoose) {
       // The defective pack is replaced by a good one.
       C.writePack();
       EXPECT_EQ(C.stats().PackWrites, 1u) << What;
+      EXPECT_EQ(C.stats().PackCompactions, 1u) << What;
     }
     EXPECT_EQ(readFile(Dir / ResultCache::packFileName()), Good) << What;
     ResultCache Again(O);
@@ -606,6 +666,8 @@ TEST(ResultCachePack, InstanceWithoutOpenPackNeverReadsOrRecords) {
   EXPECT_TRUE(C.lookup(2).has_value());
   C.store(4, "never packed");
   C.writePack(); // No openPack(): nothing was recorded, nothing written.
+  // Its store went to a loose entry instead.
+  EXPECT_TRUE(fs::exists(Dir / ResultCache::entryFileName(4)));
   ResultCache::Stats S = C.stats();
   EXPECT_EQ(S.PackHits, 0u);
   EXPECT_EQ(S.PackWrites, 0u);
@@ -642,4 +704,194 @@ TEST(ResultCachePack, WriteFailureTakesTheStoreErrorPath) {
   EXPECT_TRUE(C.diskDisabled());
   EXPECT_FALSE(fs::exists(Dir / ResultCache::packFileName()));
   EXPECT_EQ(tmpFilesIn(Dir), 0u);
+}
+
+TEST(ResultCachePack, PackedStoresWriteNoLooseEntries) {
+  fs::path Dir = freshDir("rscache_pack_store");
+  ResultCache::Options O;
+  O.DiskDir = Dir.string();
+  {
+    ResultCache C(O);
+    C.openPack();
+    C.store(1, "report one");
+    C.storeBlob(10, binaryPayload());
+    // Served from memory within the run.
+    EXPECT_EQ(C.lookup(1).value_or("<miss>"), "report one");
+    EXPECT_EQ(looseEntriesIn(Dir), 0u);
+    C.writePack();
+    EXPECT_EQ(C.stats().PackWrites, 1u);
+    EXPECT_EQ(C.stats().StoreErrors, 0u);
+  }
+  EXPECT_EQ(looseEntriesIn(Dir), 0u);
+  EXPECT_EQ(segmentSizes(readFile(Dir / ResultCache::packFileName())).size(),
+            1u);
+  // Only a packed run finds them.
+  ResultCache Loose(O);
+  EXPECT_FALSE(Loose.lookup(1).has_value());
+  ResultCache Packed(O);
+  Packed.openPack();
+  EXPECT_EQ(Packed.lookup(1).value_or("<miss>"), "report one");
+  EXPECT_EQ(Packed.lookupBlob(10).value_or("<miss>"), binaryPayload());
+  EXPECT_EQ(Packed.stats().PackHits, 2u);
+}
+
+TEST(ResultCachePack, NewestSegmentWinsAKey) {
+  fs::path Dir = freshDir("rscache_pack_newest");
+  ResultCache::Options O;
+  O.DiskDir = Dir.string();
+  const std::string Big(200, 'b');
+  {
+    ResultCache C(O);
+    C.openPack();
+    C.store(1, "old");
+    C.store(2, Big);
+    C.writePack();
+  }
+  {
+    // Key 2 keeps the working set live enough that the rewrite of key 1
+    // is appended rather than compacted.
+    ResultCache C(O);
+    C.openPack();
+    EXPECT_EQ(C.lookup(2).value_or("<miss>"), Big);
+    C.store(1, "new");
+    C.writePack();
+    EXPECT_EQ(C.stats().PackCompactions, 0u);
+  }
+  EXPECT_EQ(segmentSizes(readFile(Dir / ResultCache::packFileName())).size(),
+            2u);
+  ResultCache C(O);
+  C.openPack();
+  EXPECT_EQ(C.lookup(1).value_or("<miss>"), "new");
+  EXPECT_EQ(C.lookup(2).value_or("<miss>"), Big);
+  EXPECT_EQ(C.stats().PackHits, 2u);
+  EXPECT_EQ(C.stats().CorruptEntries, 0u);
+}
+
+TEST(ResultCachePack, TornLastSegmentServesThePrefix) {
+  fs::path Seed = freshDir("rscache_pack_torn_seed");
+  ResultCache::Options SO;
+  SO.DiskDir = Seed.string();
+  const std::string Big(300, 'p');
+  {
+    ResultCache C(SO);
+    C.openPack();
+    C.store(1, Big);
+    C.storeBlob(2, binaryPayload());
+    C.writePack();
+  }
+  {
+    ResultCache C(SO);
+    C.openPack();
+    EXPECT_TRUE(C.lookup(1).has_value());
+    EXPECT_TRUE(C.lookupBlobRef(2).has_value());
+    C.store(3, "in the torn segment");
+    C.writePack();
+    EXPECT_EQ(C.stats().PackCompactions, 0u);
+  }
+  const std::string Full = readFile(Seed / ResultCache::packFileName());
+  std::vector<size_t> Sizes = segmentSizes(Full);
+  ASSERT_EQ(Sizes.size(), 2u);
+
+  // Every cut inside the last segment, as a killed or short append leaves.
+  for (size_t Cut = 1; Cut != Sizes[1]; ++Cut) {
+    fs::path Dir = freshDir("rscache_pack_torn");
+    ResultCache::Options O;
+    O.DiskDir = Dir.string();
+    std::ofstream(Dir / ResultCache::packFileName(),
+                  std::ios::binary | std::ios::trunc)
+        << Full.substr(0, Sizes[0] + Cut);
+    {
+      ResultCache C(O);
+      C.openPack();
+      EXPECT_EQ(C.lookup(1).value_or("<miss>"), Big) << Cut;
+      EXPECT_EQ(C.lookupBlob(2).value_or("<miss>"), binaryPayload()) << Cut;
+      EXPECT_FALSE(C.lookup(3).has_value()) << Cut;
+      ResultCache::Stats S = C.stats();
+      EXPECT_EQ(S.PackHits, 2u) << Cut;
+      EXPECT_EQ(S.CorruptEntries, 1u) << Cut;
+      C.writePack(); // Nothing new, but the defect compacts.
+      EXPECT_EQ(C.stats().PackCompactions, 1u) << Cut;
+    }
+    const std::string Compacted = readFile(Dir / ResultCache::packFileName());
+    EXPECT_EQ(segmentSizes(Compacted).size(), 1u) << Cut;
+    EXPECT_EQ(Compacted, Full.substr(0, Sizes[0])) << Cut;
+    ResultCache Again(O);
+    Again.openPack();
+    EXPECT_EQ(Again.lookup(1).value_or("<miss>"), Big) << Cut;
+    EXPECT_EQ(Again.stats().CorruptEntries, 0u) << Cut;
+  }
+}
+
+TEST(ResultCachePack, CompactsAtTheSegmentBound) {
+  fs::path Dir = freshDir("rscache_pack_bound");
+  ResultCache::Options O;
+  O.DiskDir = Dir.string();
+  const size_t Bound = ResultCache::MaxPackSegments;
+  // Each run serves every earlier entry and adds one, so no byte is dead
+  // and only the segment count can force a compaction.
+  for (uint64_t Run = 1; Run <= Bound + 1; ++Run) {
+    ResultCache C(O);
+    C.openPack();
+    for (uint64_t Key = 1; Key < Run; ++Key)
+      EXPECT_EQ(C.lookup(Key).value_or("<miss>"), "entry") << Run;
+    EXPECT_EQ(C.stats().PackHits, Run - 1);
+    C.store(Run, "entry");
+    C.writePack();
+    ResultCache::Stats S = C.stats();
+    EXPECT_EQ(S.PackWrites, 1u) << Run;
+    EXPECT_EQ(S.PackCompactions, Run == Bound + 1 ? 1u : 0u) << Run;
+    std::vector<size_t> Sizes =
+        segmentSizes(readFile(Dir / ResultCache::packFileName()));
+    EXPECT_EQ(Sizes.size(), Run == Bound + 1 ? 1u : Run) << Run;
+  }
+  ResultCache C(O);
+  C.openPack();
+  for (uint64_t Key = 1; Key <= Bound + 1; ++Key)
+    EXPECT_EQ(C.lookup(Key).value_or("<miss>"), "entry") << Key;
+  EXPECT_EQ(C.stats().PackHits, Bound + 1);
+}
+
+TEST(ResultCachePack, CompactsPastTheDeadByteBound) {
+  fs::path Dir = freshDir("rscache_pack_dead");
+  ResultCache::Options O;
+  O.DiskDir = Dir.string();
+  const std::string P(100, 'x');
+  {
+    ResultCache C(O);
+    C.openPack();
+    for (uint64_t Key = 1; Key <= 4; ++Key)
+      C.store(Key, P);
+    C.writePack();
+  }
+  {
+    // 100 dead bytes (key 4) against 400 live: within the bound, appended.
+    ResultCache C(O);
+    C.openPack();
+    for (uint64_t Key = 1; Key <= 3; ++Key)
+      EXPECT_TRUE(C.lookup(Key).has_value());
+    C.store(5, P);
+    C.writePack();
+    EXPECT_EQ(C.stats().PackCompactions, 0u);
+  }
+  EXPECT_EQ(segmentSizes(readFile(Dir / ResultCache::packFileName())).size(),
+            2u);
+  {
+    // 300 dead bytes (keys 3, 4, 5) against 300 live: compacted to the
+    // working set.
+    ResultCache C(O);
+    C.openPack();
+    for (uint64_t Key = 1; Key <= 2; ++Key)
+      EXPECT_TRUE(C.lookup(Key).has_value());
+    C.store(6, P);
+    C.writePack();
+    EXPECT_EQ(C.stats().PackCompactions, 1u);
+  }
+  EXPECT_EQ(segmentSizes(readFile(Dir / ResultCache::packFileName())).size(),
+            1u);
+  ResultCache C(O);
+  C.openPack();
+  for (uint64_t Key : {1, 2, 6})
+    EXPECT_TRUE(C.lookup(Key).has_value()) << Key;
+  for (uint64_t Key : {3, 4, 5})
+    EXPECT_FALSE(C.lookup(Key).has_value()) << Key;
 }

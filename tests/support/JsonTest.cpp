@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+
 using namespace rs;
 
 TEST(Json, EmptyObject) {
@@ -35,6 +37,37 @@ TEST(Json, EscapesStrings) {
   W.value("a\"b\\c\nd");
   W.endArray();
   EXPECT_EQ(W.str(), "[\"a\\\"b\\\\c\\nd\"]");
+}
+
+TEST(Json, EveryByteRoundTripsThroughTheWriter) {
+  // Each byte alone, between plain runs, and all 256 in one string: the
+  // escaper copies unescaped runs in bulk, so the runs' edges are where it
+  // could drop or repeat a byte.
+  std::string All;
+  for (int B = 0; B != 256; ++B) {
+    std::string One(1, static_cast<char>(B));
+    All += One;
+    for (const std::string &S : {One, "ab" + One + "cd" + One}) {
+      JsonWriter W;
+      W.value(S);
+      std::optional<JsonValue> V = JsonValue::parse(W.str());
+      ASSERT_TRUE(V && V->isString()) << "byte " << B << ": " << W.str();
+      EXPECT_EQ(V->asString(), S) << "byte " << B;
+    }
+  }
+  JsonWriter W;
+  W.value(All);
+  std::optional<JsonValue> V = JsonValue::parse(W.str());
+  ASSERT_TRUE(V && V->isString());
+  EXPECT_EQ(V->asString(), All);
+}
+
+TEST(Json, EscapedTextOfAMixedStringIsPinned) {
+  using namespace std::string_literals;
+  JsonWriter W;
+  W.value("plain \"q\" back\\slash\n\t\r\x01\x1f\x7f\xc3\xa9\0end"s);
+  EXPECT_EQ(W.str(), "\"plain \\\"q\\\" back\\\\slash\\n\\t\\r\\u0001"
+                     "\\u001f\x7f\xc3\xa9\\u0000end\"");
 }
 
 TEST(Json, NullAndNumbers) {
