@@ -316,11 +316,12 @@ constexpr size_t BlobHeaderSize = 4 + 4 + 8 + 8 + 8;
 
 // The pack: a sequence of segments. A segment is a header (magic,
 // version, segment byte size, entry count, index checksum), one index
-// record per entry (key, kind, payload offset, payload length, payload
-// checksum) sorted by (key, kind), then the payloads; offsets count from
-// the segment's first byte. Every multi-byte field is little-endian. The
-// payload checksums are hashCanonicalBytes; the index checksum is that of
-// the index folded with the segment size.
+// record per entry (key, kind as 32 bits, generation as 32 bits, payload
+// offset, payload length, payload checksum) sorted by (key, kind), then
+// the payloads; offsets count from the segment's first byte. Every
+// multi-byte field is little-endian. The payload checksums are
+// hashCanonicalBytes; the index checksum is that of the index folded with
+// the segment size.
 constexpr char PackMagic[4] = {'R', 'S', 'C', 'P'};
 constexpr size_t SegmentHeaderSize = 4 + 4 + 8 + 8 + 8;
 constexpr size_t PackRecordSize = 5 * 8;
@@ -453,12 +454,13 @@ void ResultCache::resetPackLocked() {
   Working.clear();
   PackIndex.clear();
   PackSegments = 0;
-  PackPayloadBytes = 0;
+  PackGeneration = 0;
   PackBuf.reset();
 }
 
 /// Caller holds the mutex. Entries already served from the pack passed
-/// their own checksum, so they stay recorded, as copies.
+/// their own checksum, so they stay recorded, as copies; nothing else of
+/// the pack survives, its generations included.
 void ResultCache::packDefectLocked() {
   ++Counters.CorruptEntries;
   PackDefective = true;
@@ -468,6 +470,7 @@ void ResultCache::packDefectLocked() {
       E.FromPack = false;
     }
   PackIndex.clear();
+  PackGeneration = 0;
   PackBuf.reset();
 }
 
@@ -550,28 +553,29 @@ bool ResultCache::loadPackLocked(std::string_view Bytes) {
       return std::nullopt;
     const size_t FirstSlot = PackIndex.size();
     PackIndex.reserve(FirstSlot + Count);
-    uint64_t PayloadBytes = 0;
+    uint32_t Generation = PackGeneration;
     for (uint64_t I = 0; I != Count; ++I) {
       const char *R = IndexBytes.data() + I * PackRecordSize;
       uint64_t Key = getU64LE(R);
-      uint64_t Kind = getU64LE(R + 8);
+      uint32_t Kind = getU32LE(R + 8);
+      uint32_t Gen = getU32LE(R + 12);
       uint64_t Off = getU64LE(R + 16);
       uint64_t Len = getU64LE(R + 24);
       bool Sorted = PackIndex.size() == FirstSlot ||
                     std::make_pair(PackIndex.back().Key,
-                                   uint64_t(PackIndex.back().Kind)) <
+                                   uint32_t(PackIndex.back().Kind)) <
                         std::make_pair(Key, Kind);
-      if (Kind > uint64_t(EntryKind::Blob) || Off < PayloadStart ||
+      if (Kind > uint32_t(EntryKind::Blob) || Off < PayloadStart ||
           Off > Size || Len > Size - Off || !Sorted) {
         PackIndex.resize(FirstSlot);
         return std::nullopt;
       }
-      PackIndex.push_back(PackSlot{Key, EntryKind(Kind),
+      PackIndex.push_back(PackSlot{Key, EntryKind(Kind), Gen,
                                    Segment.substr(Off, Len),
                                    getU64LE(R + 32)});
-      PayloadBytes += Len;
+      Generation = std::max(Generation, Gen);
     }
-    PackPayloadBytes += PayloadBytes;
+    PackGeneration = Generation;
     return Size;
   };
 
@@ -645,6 +649,7 @@ namespace {
 struct SegmentEntry {
   uint64_t Key;
   uint32_t Kind;
+  uint32_t Generation;
   std::string_view Bytes;
   uint64_t Checksum;
 };
@@ -656,7 +661,8 @@ std::string encodeSegment(const std::vector<SegmentEntry> &Entries) {
   uint64_t Offset = SegmentHeaderSize + Entries.size() * PackRecordSize;
   for (const SegmentEntry &E : Entries) {
     putU64LE(Index, E.Key);
-    putU64LE(Index, E.Kind);
+    putU32LE(Index, E.Kind);
+    putU32LE(Index, E.Generation);
     putU64LE(Index, Offset);
     putU64LE(Index, E.Bytes.size());
     putU64LE(Index, E.Checksum);
@@ -689,7 +695,6 @@ void ResultCache::writePack() {
     // Split the working set into what the pack already holds and what is
     // new. An entry from elsewhere (memory, loose) whose bytes equal the
     // pack's live entry is not new.
-    uint64_t PackLiveBytes = 0, NewBytes = 0;
     size_t NewCount = 0;
     for (auto &[Id, E] : Working) {
       if (!E.FromPack)
@@ -700,33 +705,39 @@ void ResultCache::writePack() {
             E.Checksum = S->Checksum;
             E.Copy.clear();
           }
-      if (E.FromPack) {
-        PackLiveBytes += E.PackBytes.size();
-      } else {
-        NewBytes += E.Copy.size();
-        ++NewCount;
-      }
+      NewCount += !E.FromPack;
     }
-    // Dead bytes: pack payloads this run's working set did not use. Each
-    // pack-served entry is a distinct live slot, so this cannot wrap.
-    uint64_t DeadBytes = PackPayloadBytes - PackLiveBytes;
     Compact = PackDefective ||
-              (NewCount != 0 &&
-               (PackSegments >= MaxPackSegments ||
-                DeadBytes * 3 > PackLiveBytes + NewBytes));
+              (NewCount != 0 && PackSegments >= MaxPackSegments);
     if (NewCount == 0 && !Compact) {
       resetPackLocked();
       return;
     }
+    // This write's generation stamps every entry it writes from the
+    // working set; a compaction carries the other live entries over with
+    // their own, while they are young enough.
+    const uint32_t Generation = PackGeneration + 1;
     std::vector<SegmentEntry> Entries;
-    Entries.reserve(Compact ? Working.size() : NewCount);
+    Entries.reserve(Compact ? Working.size() + PackIndex.size() : NewCount);
     for (const auto &[Id, E] : Working) {
       if (E.FromPack && !Compact)
         continue;
       Entries.push_back({Id.first, static_cast<uint32_t>(Id.second),
-                         E.bytes(),
+                         Generation, E.bytes(),
                          E.FromPack ? E.Checksum
                                     : hashCanonicalBytes(E.Copy)});
+    }
+    if (Compact) {
+      for (const PackSlot &S : PackIndex)
+        if (Generation - S.Generation < PackRetainWrites &&
+            !Working.count({S.Key, S.Kind}))
+          Entries.push_back({S.Key, static_cast<uint32_t>(S.Kind),
+                             S.Generation, S.Payload, S.Checksum});
+      std::sort(Entries.begin(), Entries.end(),
+                [](const SegmentEntry &A, const SegmentEntry &B) {
+                  return std::make_pair(A.Key, A.Kind) <
+                         std::make_pair(B.Key, B.Kind);
+                });
     }
     Segment = encodeSegment(Entries);
     resetPackLocked();

@@ -163,15 +163,15 @@ public:
   /// Ends recording and puts the run's new entries (stored, or served
   /// from loose files) on disk: one segment appended to the pack with a
   /// single O_APPEND write. Writes nothing when the run has nothing new
-  /// and the pack was intact. Compacts instead — the whole working set as
-  /// one segment, temporary + atomic rename, reusing the checksums the
-  /// pack hits verified — after a pack defect, when the pack already
-  /// holds MaxPackSegments segments, or when the pack's payload bytes the
-  /// run did not use exceed a third of the working set's. A failed write
-  /// takes the store() failure path: one StoreErrors count and the
-  /// one-time warning. No-op without a preceding openPack(). Must not run
-  /// concurrently with lookups or stores. Fault-injection probe site:
-  /// "cache.disk.store".
+  /// and the pack was intact. Compacts instead after a pack defect, or
+  /// when the pack already holds MaxPackSegments segments: one segment,
+  /// temporary + atomic rename, holding the working set and every live
+  /// pack entry the run did not use that one of the last PackRetainWrites
+  /// writes wrote. Superseded entries are dropped, and checksums the pack
+  /// already holds are reused, not recomputed. A failed write takes the
+  /// store() failure path: one StoreErrors count and the one-time warning.
+  /// No-op without a preceding openPack(). Must not run concurrently with
+  /// lookups or stores. Fault-injection probe site: "cache.disk.store".
   void writePack();
 
   /// True once a write failure has disabled the disk layer (memory layer
@@ -204,11 +204,17 @@ public:
   /// The pack format version. A pack is a sequence of segments, each
   /// valid on its own: "RSCP" magic + version + segment byte size + entry
   /// count + index checksum, then the index sorted by (key, kind), then
-  /// the payloads, offsets relative to the segment.
+  /// the payloads, offsets relative to the segment. Each index record
+  /// carries the generation of the write that last wrote its entry.
   static constexpr uint32_t PackFormatVersion = 2;
 
   /// Segments a pack may hold; a write that would add one more compacts.
   static constexpr size_t MaxPackSegments = 16;
+
+  /// Pack writes an entry no run uses survives: a compaction keeps it
+  /// only when one of the last PackRetainWrites writes (counting its own)
+  /// wrote it. Entries the compacting run used are always kept.
+  static constexpr uint32_t PackRetainWrites = 2 * MaxPackSegments;
 
 private:
   enum class EntryKind : uint32_t { Report = 0, Blob = 1 };
@@ -217,6 +223,7 @@ private:
   struct PackSlot {
     uint64_t Key;
     EntryKind Kind;
+    uint32_t Generation; ///< The pack write that last wrote the entry.
     std::string_view Payload;
     uint64_t Checksum;
   };
@@ -269,8 +276,8 @@ private:
   /// The live entries of the valid segments, sorted by (Key, Kind); where
   /// segments share a key the newest one's entry is kept.
   std::vector<PackSlot> PackIndex;
-  size_t PackSegments = 0;      ///< Valid segments read.
-  uint64_t PackPayloadBytes = 0; ///< Their payload bytes, superseded too.
+  size_t PackSegments = 0;     ///< Valid segments read.
+  uint32_t PackGeneration = 0; ///< The newest generation they hold.
   /// Set by a pack defect: the next writePack() compacts.
   bool PackDefective = false;
   std::map<std::pair<uint64_t, EntryKind>, WorkingEntry> Working;

@@ -15,6 +15,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <filesystem>
 #include <fstream>
 #include <functional>
@@ -540,6 +541,65 @@ TEST(WholeProgram, WarmEditWritesNoLooseEntries) {
 
   AnalysisEngine NoCache(baseOptions());
   EXPECT_EQ(R.renderJson(), NoCache.analyzeCorpus({Dir.string()}).renderJson());
+}
+
+TEST(WholeProgram, SubsetRunsLeaveTheCorpusWarm) {
+  fs::path Dir = fs::path(testing::TempDir()) / "wp_subset_eval";
+  fs::path Other = fs::path(testing::TempDir()) / "wp_subset_other";
+  fs::path CacheDir = fs::path(testing::TempDir()) / "wp_subset_cache";
+  fs::remove_all(Dir);
+  fs::remove_all(Other);
+  fs::remove_all(CacheDir);
+  fs::copy(fs::path(RS_REPO_ROOT) / "examples/mir/eval", Dir);
+  fs::create_directories(Other);
+
+  EngineOptions Opts = baseOptions();
+  Opts.UseCache = true;
+  Opts.CacheDir = CacheDir.string();
+  const CorpusReport Cold = AnalysisEngine(Opts).analyzeCorpus({Dir.string()});
+  const std::string Want = Cold.renderJson();
+  auto ExpectWarm = [&](const char *When) {
+    AnalysisEngine E(Opts);
+    CorpusReport R = E.analyzeCorpus({Dir.string()});
+    EXPECT_EQ(R.renderJson(), Want) << When;
+    EXPECT_EQ(R.Stats.CacheMisses, 0u) << When << ": "
+                                       << R.Stats.renderLine();
+    EXPECT_EQ(R.Stats.CacheHits, Cold.Stats.CacheMisses) << When;
+    EXPECT_EQ(E.cache()->stats().PackWrites, 0u) << When;
+  };
+
+  // One file the corpus links with, alone: its per-file key is not the
+  // linked key the corpus run stored, so it misses and appends a segment.
+  {
+    AnalysisEngine E(Opts);
+    CorpusReport R =
+        E.analyzeCorpus({(Dir / "xfile_uaf_bug_0_use.mir").string()});
+    EXPECT_EQ(R.Stats.CacheMisses, 1u);
+    EXPECT_EQ(E.cache()->stats().PackWrites, 1u);
+  }
+  ExpectWarm("after a one-file run");
+
+  // Runs over other files that share the cache dir, each new, until one
+  // compacts at the segment bound.
+  const std::string Src = readBytes(Dir / "clean_0.mir");
+  size_t Appends = 1;
+  bool Compacted = false;
+  for (size_t Run = 0; Run != sched::ResultCache::MaxPackSegments; ++Run) {
+    fs::path F = Other / ("other_" + std::to_string(Run) + ".mir");
+    std::ofstream(F) << Src << "// other " << Run << "\n";
+    AnalysisEngine E(Opts);
+    E.analyzeCorpus({F.string()});
+    sched::ResultCache::Stats S = E.cache()->stats();
+    EXPECT_EQ(S.PackWrites, 1u) << Run;
+    if (S.PackCompactions != 0) {
+      Compacted = true;
+      break;
+    }
+    ++Appends;
+  }
+  EXPECT_TRUE(Compacted);
+  EXPECT_EQ(Appends, sched::ResultCache::MaxPackSegments - 1);
+  ExpectWarm("after a compaction by another run");
 }
 
 TEST(WholeProgram, FleetAndInProcessRunsShareACacheDir) {

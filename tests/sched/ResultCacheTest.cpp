@@ -748,8 +748,7 @@ TEST(ResultCachePack, NewestSegmentWinsAKey) {
     C.writePack();
   }
   {
-    // Key 2 keeps the working set live enough that the rewrite of key 1
-    // is appended rather than compacted.
+    // The rewrite of key 1 is appended; the older segment keeps its bytes.
     ResultCache C(O);
     C.openPack();
     EXPECT_EQ(C.lookup(2).value_or("<miss>"), Big);
@@ -812,12 +811,16 @@ TEST(ResultCachePack, TornLastSegmentServesThePrefix) {
       C.writePack(); // Nothing new, but the defect compacts.
       EXPECT_EQ(C.stats().PackCompactions, 1u) << Cut;
     }
+    // The valid prefix rewritten as one segment: the same entries, so the
+    // same size; only their generation moves on.
     const std::string Compacted = readFile(Dir / ResultCache::packFileName());
-    EXPECT_EQ(segmentSizes(Compacted).size(), 1u) << Cut;
-    EXPECT_EQ(Compacted, Full.substr(0, Sizes[0])) << Cut;
+    EXPECT_EQ(segmentSizes(Compacted), std::vector<size_t>{Sizes[0]}) << Cut;
     ResultCache Again(O);
     Again.openPack();
     EXPECT_EQ(Again.lookup(1).value_or("<miss>"), Big) << Cut;
+    EXPECT_EQ(Again.lookupBlob(2).value_or("<miss>"), binaryPayload()) << Cut;
+    EXPECT_FALSE(Again.lookup(3).has_value()) << Cut;
+    EXPECT_EQ(Again.stats().PackHits, 2u) << Cut;
     EXPECT_EQ(Again.stats().CorruptEntries, 0u) << Cut;
   }
 }
@@ -827,8 +830,8 @@ TEST(ResultCachePack, CompactsAtTheSegmentBound) {
   ResultCache::Options O;
   O.DiskDir = Dir.string();
   const size_t Bound = ResultCache::MaxPackSegments;
-  // Each run serves every earlier entry and adds one, so no byte is dead
-  // and only the segment count can force a compaction.
+  // Each run serves every earlier entry and adds one; only the segment
+  // count forces a compaction.
   for (uint64_t Run = 1; Run <= Bound + 1; ++Run) {
     ResultCache C(O);
     C.openPack();
@@ -851,8 +854,8 @@ TEST(ResultCachePack, CompactsAtTheSegmentBound) {
   EXPECT_EQ(C.stats().PackHits, Bound + 1);
 }
 
-TEST(ResultCachePack, CompactsPastTheDeadByteBound) {
-  fs::path Dir = freshDir("rscache_pack_dead");
+TEST(ResultCachePack, SubsetRunsKeepTheEntriesTheyDidNotUse) {
+  fs::path Dir = freshDir("rscache_pack_subset");
   ResultCache::Options O;
   O.DiskDir = Dir.string();
   const std::string P(100, 'x');
@@ -863,35 +866,63 @@ TEST(ResultCachePack, CompactsPastTheDeadByteBound) {
       C.store(Key, P);
     C.writePack();
   }
-  {
-    // 100 dead bytes (key 4) against 400 live: within the bound, appended.
+  // Runs that use one entry and add one, up to and through the write that
+  // compacts at the segment bound.
+  for (uint64_t Run = 1; Run <= ResultCache::MaxPackSegments; ++Run) {
     ResultCache C(O);
     C.openPack();
-    for (uint64_t Key = 1; Key <= 3; ++Key)
-      EXPECT_TRUE(C.lookup(Key).has_value());
-    C.store(5, P);
+    EXPECT_TRUE(C.lookup(1).has_value()) << Run;
+    C.store(100 + Run, "subset");
     C.writePack();
-    EXPECT_EQ(C.stats().PackCompactions, 0u);
-  }
-  EXPECT_EQ(segmentSizes(readFile(Dir / ResultCache::packFileName())).size(),
-            2u);
-  {
-    // 300 dead bytes (keys 3, 4, 5) against 300 live: compacted to the
-    // working set.
-    ResultCache C(O);
-    C.openPack();
-    for (uint64_t Key = 1; Key <= 2; ++Key)
-      EXPECT_TRUE(C.lookup(Key).has_value());
-    C.store(6, P);
-    C.writePack();
-    EXPECT_EQ(C.stats().PackCompactions, 1u);
+    EXPECT_EQ(C.stats().PackCompactions,
+              Run == ResultCache::MaxPackSegments ? 1u : 0u)
+        << Run;
   }
   EXPECT_EQ(segmentSizes(readFile(Dir / ResultCache::packFileName())).size(),
             1u);
+  // The whole set is still served from the pack.
   ResultCache C(O);
   C.openPack();
-  for (uint64_t Key : {1, 2, 6})
-    EXPECT_TRUE(C.lookup(Key).has_value()) << Key;
-  for (uint64_t Key : {3, 4, 5})
-    EXPECT_FALSE(C.lookup(Key).has_value()) << Key;
+  for (uint64_t Key = 1; Key <= 4; ++Key)
+    EXPECT_EQ(C.lookup(Key).value_or("<miss>"), P) << Key;
+  for (uint64_t Run = 1; Run <= ResultCache::MaxPackSegments; ++Run)
+    EXPECT_EQ(C.lookup(100 + Run).value_or("<miss>"), "subset") << Run;
+  ResultCache::Stats S = C.stats();
+  EXPECT_EQ(S.PackHits, 4u + ResultCache::MaxPackSegments);
+  EXPECT_EQ(S.LooseReads, 0u);
+}
+
+TEST(ResultCachePack, CompactionDropsEntriesNoRecentWriteWrote) {
+  fs::path Dir = freshDir("rscache_pack_retain");
+  ResultCache::Options O;
+  O.DiskDir = Dir.string();
+  {
+    ResultCache C(O);
+    C.openPack();
+    C.store(1, "first write");
+    C.writePack();
+  }
+  // Write W stores only key 1000 + W. Key 1, written by write 1, goes at
+  // the first compaction past PackRetainWrites writes; key 1002, written
+  // by write 2, is young enough to outlive that compaction.
+  const uint32_t Last =
+      ResultCache::PackRetainWrites + ResultCache::MaxPackSegments;
+  bool Gone = false;
+  for (uint32_t W = 2; W <= Last; ++W) {
+    {
+      ResultCache C(O);
+      C.openPack();
+      C.store(1000 + W, "later write");
+      C.writePack();
+      if (C.stats().PackCompactions != 0 &&
+          W - 1 >= ResultCache::PackRetainWrites)
+        Gone = true;
+    }
+    ResultCache Reader(O);
+    Reader.openPack();
+    EXPECT_EQ(Reader.lookup(1).has_value(), !Gone) << W;
+    EXPECT_TRUE(Reader.lookup(1002).has_value()) << W;
+    EXPECT_EQ(Reader.stats().CorruptEntries, 0u) << W;
+  }
+  EXPECT_TRUE(Gone);
 }
