@@ -615,10 +615,10 @@ int main(int argc, char **argv) {
                              Bad)) {
       if (Bad)
         return usage();
-    } else if (argv[I][0] == '-' && argv[I][1] != '\0' &&
-               (Cmd == "check" || Cmd == "serve")) {
-      // A misspelled flag must not fall through as an input path: the run
-      // would look normal while silently ignoring what was asked for.
+    } else if (argv[I][0] == '-' && argv[I][1] != '\0') {
+      // A misspelled flag must not fall through as an input path (or, for
+      // gen and fuzz, be dropped): the run would look normal while
+      // silently ignoring what was asked for.
       std::fprintf(stderr, "rustsight: unknown option '%s'\n", argv[I]);
       return usage();
     } else

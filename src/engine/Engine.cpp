@@ -199,6 +199,17 @@ static void applySuppressions(std::string_view Source, FileReport &R) {
   R.Findings = std::move(Kept);
 }
 
+/// The containment boundary's verdict on a fault in analysis: the file is
+/// Skipped and keeps no partial results.
+static void containFault(FileReport &R, const char *What) {
+  R.Status = EngineStatus::Skipped;
+  R.Reason = std::string("engine fault contained: ") + What;
+  R.Detectors.clear();
+  R.Findings.clear();
+  R.Notices.clear();
+  R.SuppressedFindings = 0;
+}
+
 FileReport AnalysisEngine::analyzeSource(std::string_view Source,
                                          std::string Name) {
   return analyzeSourceImpl(Source, std::move(Name), /*StoreSnapshot=*/false,
@@ -247,19 +258,9 @@ AnalysisEngine::analyzeSourceImpl(std::string_view Source, std::string Name,
     runDetectors(P.M, R, Ext);
     applySuppressions(Source, R);
   } catch (const std::exception &E) {
-    R.Status = EngineStatus::Skipped;
-    R.Reason = std::string("engine fault contained: ") + E.what();
-    R.Detectors.clear();
-    R.Findings.clear();
-    R.Notices.clear();
-    R.SuppressedFindings = 0;
+    containFault(R, E.what());
   } catch (...) {
-    R.Status = EngineStatus::Skipped;
-    R.Reason = "engine fault contained: unknown exception";
-    R.Detectors.clear();
-    R.Findings.clear();
-    R.Notices.clear();
-    R.SuppressedFindings = 0;
+    containFault(R, "unknown exception");
   }
   return R;
 }
@@ -274,19 +275,9 @@ AnalysisEngine::analyzeParsedModule(const mir::Module &M,
     runDetectors(M, R, Ext);
     applySuppressions(Source, R);
   } catch (const std::exception &E) {
-    R.Status = EngineStatus::Skipped;
-    R.Reason = std::string("engine fault contained: ") + E.what();
-    R.Detectors.clear();
-    R.Findings.clear();
-    R.Notices.clear();
-    R.SuppressedFindings = 0;
+    containFault(R, E.what());
   } catch (...) {
-    R.Status = EngineStatus::Skipped;
-    R.Reason = "engine fault contained: unknown exception";
-    R.Detectors.clear();
-    R.Findings.clear();
-    R.Notices.clear();
-    R.SuppressedFindings = 0;
+    containFault(R, "unknown exception");
   }
   return R;
 }
@@ -1050,6 +1041,15 @@ std::optional<mir::Module> readSnapshotHalf(std::string_view Blob,
   return mir::snapshot::read(splitModuleBlob(Blob).Snapshot, &Fp);
 }
 
+/// The report cache key of a file. A linked file folds its link digest in:
+/// a change to a callee body in another corpus file must invalidate this
+/// file's entry even though this file's bytes are unchanged. Files that
+/// resolve nothing (digest 0) share their entries with per-file runs.
+uint64_t reportKey(uint64_t Fp, uint64_t Salt, uint64_t LinkDigest) {
+  uint64_t Key = cacheKey(Fp, Salt);
+  return LinkDigest == 0 ? Key : fnv1a64U64(LinkDigest, Key);
+}
+
 /// Parse + verify for the link: only a fully clean module qualifies —
 /// recovered parses carry dropped items a linked summary must not pretend
 /// to cover, and such files fall back to the per-file pipeline, which
@@ -1115,16 +1115,12 @@ std::vector<std::string> AnalysisEngine::detectorNames() {
   return Names;
 }
 
-FileReport AnalysisEngine::analyzeFileThroughCache(const std::string &Path) {
+FileReport
+AnalysisEngine::analyzeFileThroughCache(const std::string &Path,
+                                        const analysis::ExternalSummaries *Env,
+                                        uint64_t LinkDigest) {
   ensureCache();
-  return analyzeFileCached(Path, cacheSalt(Opts, detectorNames()));
-}
-
-FileReport AnalysisEngine::analyzeFileThroughCacheLinked(
-    const std::string &Path, const analysis::ExternalSummaries &Env,
-    uint64_t LinkDigest) {
-  ensureCache();
-  return analyzeFileCached(Path, cacheSalt(Opts, detectorNames()), &Env,
+  return analyzeFileCached(Path, cacheSalt(Opts, detectorNames()), Env,
                            LinkDigest);
 }
 
@@ -1165,34 +1161,8 @@ AnalysisEngine::summarizeFileForLink(const std::string &Path,
 FileReport AnalysisEngine::analyzeSourceThroughCache(std::string_view Source,
                                                      const std::string &Path) {
   ensureCache();
-  if (!Cache)
-    return analyzeSource(Source, Path);
-  uint64_t Fp = fingerprintSource(Source);
-  uint64_t Key = cacheKey(Fp, cacheSalt(Opts, detectorNames()));
-  if (std::optional<std::string> Payload = Cache->lookup(Key))
-    if (std::optional<FileReport> R = deserializeFileReport(*Payload, Path))
-      return std::move(*R);
-
-  // Report miss: try the parsed-MIR snapshot layer before touching the
-  // Lexer/Parser. A defective snapshot is a miss, never an error.
-  uint64_t SnapKey = snapshotCacheKey(Fp);
-  // lookupBlobRef maps the envelope in place; the snapshot decoder's
-  // string table borrows the mapped bytes until the Module owns its data.
-  if (std::optional<sched::ResultCache::BlobRef> Blob =
-          Cache->lookupBlobRef(SnapKey)) {
-    if (std::optional<mir::Module> M = readSnapshotHalf(Blob->bytes(), Fp)) {
-      FileReport R = analyzeParsedModule(*M, Source, Path, nullptr);
-      if (R.Status == EngineStatus::Ok)
-        Cache->store(Key, serializeFileReport(R));
-      return R;
-    }
-  }
-
-  FileReport R = analyzeSourceImpl(Source, Path, /*StoreSnapshot=*/true,
-                                   SnapKey, Fp, /*Ext=*/nullptr);
-  if (R.Status == EngineStatus::Ok)
-    Cache->store(Key, serializeFileReport(R));
-  return R;
+  return analyzeSourceCached(Source, Path, cacheSalt(Opts, detectorNames()),
+                             /*Ext=*/nullptr, /*LinkDigest=*/0);
 }
 
 FileReport AnalysisEngine::analyzeFileCached(const std::string &Path,
@@ -1200,25 +1170,21 @@ FileReport AnalysisEngine::analyzeFileCached(const std::string &Path,
                                              const analysis::ExternalSummaries *Ext,
                                              uint64_t LinkDigest) {
   const char *WhyNot = nullptr;
-  std::optional<std::string> Read = readSourceFile(Path, &WhyNot);
-  if (!Read)
+  std::optional<std::string> Source = readSourceFile(Path, &WhyNot);
+  if (!Source)
     return skippedFile(Path, WhyNot);
-  std::string Source = std::move(*Read);
+  return analyzeSourceCached(*Source, Path, Salt, Ext, LinkDigest);
+}
 
-  if (!Cache) {
-    FileReport R = analyzeSourceImpl(Source, Path, /*StoreSnapshot=*/false,
-                                     /*SnapKey=*/0, /*Fingerprint=*/0, Ext);
-    return R;
-  }
+FileReport AnalysisEngine::analyzeSourceCached(
+    std::string_view Source, const std::string &Path, uint64_t Salt,
+    const analysis::ExternalSummaries *Ext, uint64_t LinkDigest) {
+  if (!Cache)
+    return analyzeSourceImpl(Source, Path, /*StoreSnapshot=*/false,
+                             /*SnapKey=*/0, /*Fingerprint=*/0, Ext);
 
   uint64_t Fp = fingerprintSource(Source);
-  // A linked file folds its link digest into the key: a change to a callee
-  // body in another corpus file must invalidate this file's entry even
-  // though this file's bytes are unchanged. Leaf files (digest 0) keep
-  // sharing entries with per-file runs.
-  uint64_t Key = cacheKey(Fp, Salt);
-  if (LinkDigest != 0)
-    Key = fnv1a64U64(LinkDigest, Key);
+  uint64_t Key = reportKey(Fp, Salt, LinkDigest);
   if (std::optional<std::string> Payload = Cache->lookup(Key))
     if (std::optional<FileReport> R = deserializeFileReport(*Payload, Path))
       return std::move(*R);
@@ -1226,20 +1192,17 @@ FileReport AnalysisEngine::analyzeFileCached(const std::string &Path,
   // Report miss: a parsed-MIR snapshot (keyed by content only, not by the
   // detector salt) lets us run detectors without lexing or parsing — the
   // common case after a detector or option change, and the whole point of
-  // the binary snapshot layer on a cold disk-warm corpus.
+  // the binary snapshot layer on a cold disk-warm corpus. A defective
+  // snapshot is a miss, never an error. lookupBlobRef maps the envelope in
+  // place; the decoder borrows the mapped bytes until the Module owns them.
   uint64_t SnapKey = snapshotCacheKey(Fp);
+  std::optional<mir::Module> M;
   if (std::optional<sched::ResultCache::BlobRef> Blob =
-          Cache->lookupBlobRef(SnapKey)) {
-    if (std::optional<mir::Module> M = readSnapshotHalf(Blob->bytes(), Fp)) {
-      FileReport R = analyzeParsedModule(*M, Source, Path, Ext);
-      if (R.Status == EngineStatus::Ok)
-        Cache->store(Key, serializeFileReport(R));
-      return R;
-    }
-  }
-
-  FileReport R = analyzeSourceImpl(Source, Path, /*StoreSnapshot=*/true,
-                                   SnapKey, Fp, Ext);
+          Cache->lookupBlobRef(SnapKey))
+    M = readSnapshotHalf(Blob->bytes(), Fp);
+  FileReport R = M ? analyzeParsedModule(*M, Source, Path, Ext)
+                   : analyzeSourceImpl(Source, Path, /*StoreSnapshot=*/true,
+                                       SnapKey, Fp, Ext);
   // Only clean results are cached: degraded/skipped outcomes depend on
   // wall-clock budgets and embed path-bearing error text, neither of which
   // belongs in a content-addressed entry.
@@ -1312,95 +1275,21 @@ AnalysisEngine::materializeModule(std::string_view Source,
 
 CorpusReport AnalysisEngine::analyzeCorpus(const std::vector<std::string> &Paths) {
   auto Start = std::chrono::steady_clock::now();
-
   std::vector<corpus::CorpusInput> Inputs = corpus::expandMirPaths(Paths);
 
+  // Per-file mode is the linked pipeline resolving nothing: without the
+  // link no file joins it, and phase C gives every file the per-file path.
   size_t Analyzable = 0;
   for (const corpus::CorpusInput &In : Inputs)
     Analyzable += In.SkipReason.empty();
-  bool Linked = Opts.WholeProgram == WholeProgramMode::On ||
-                (Opts.WholeProgram == WholeProgramMode::Auto && Analyzable > 1);
-  if (Linked)
-    return analyzeCorpusLinked(std::move(Inputs), Start);
+  const bool Linked =
+      Opts.WholeProgram == WholeProgramMode::On ||
+      (Opts.WholeProgram == WholeProgramMode::Auto && Analyzable > 1);
 
   CorpusReport Report;
   Report.Files.resize(Inputs.size());
 
   const sched::ResultCache::Stats Before = beginCacheRun();
-  const uint64_t Salt = cacheSalt(Opts, detectorNames());
-
-  // Each task owns exactly slot I of the report — the deterministic merge:
-  // results land by input ordinal, never by completion order.
-  auto ProcessOne = [&](size_t I) {
-    const corpus::CorpusInput &In = Inputs[I];
-    if (!In.SkipReason.empty()) {
-      Report.Files[I] = skippedFile(In.Path, In.SkipReason);
-      return;
-    }
-    Report.Files[I] = analyzeFileCached(In.Path, Salt);
-  };
-
-  unsigned Jobs =
-      Opts.Jobs == 0 ? sched::ThreadPool::defaultWorkerCount() : Opts.Jobs;
-  if (Jobs > Inputs.size() && !Inputs.empty())
-    Jobs = unsigned(Inputs.size());
-  if (Jobs <= 1) {
-    Jobs = 1;
-    for (size_t I = 0; I != Inputs.size(); ++I)
-      ProcessOne(I);
-  } else {
-    sched::ThreadPool Pool(Jobs);
-    sched::parallelFor(Pool, Inputs.size(), ProcessOne);
-  }
-
-  Report.finalize();
-  endCacheRun(Before, Report.Stats);
-
-  Report.Stats.Jobs = Jobs;
-  Report.Stats.WallMs =
-      std::chrono::duration<double, std::milli>(
-          std::chrono::steady_clock::now() - Start)
-          .count();
-  return Report;
-}
-
-sched::ResultCache::Stats AnalysisEngine::beginCacheRun() {
-  ensureCache();
-  if (!Cache)
-    return {};
-  sched::ResultCache::Stats Before = Cache->stats();
-  Cache->openPack();
-  return Before;
-}
-
-void AnalysisEngine::endCacheRun(const sched::ResultCache::Stats &Before,
-                                 RunStats &Out) {
-  Out.InProcess = true;
-  Out.CacheEnabled = Cache != nullptr;
-  if (!Cache)
-    return;
-  Cache->writePack();
-  sched::ResultCache::Stats After = Cache->stats();
-  Out.CacheHits = After.Hits - Before.Hits;
-  Out.CacheMisses = After.Misses - Before.Misses;
-  Out.CacheEvictions = After.Evictions - Before.Evictions;
-  Out.DiskHits = After.DiskHits - Before.DiskHits;
-  Out.CorruptEntries = After.CorruptEntries - Before.CorruptEntries;
-  Out.PackHits = After.PackHits - Before.PackHits;
-}
-
-//===----------------------------------------------------------------------===//
-// The whole-program (linked) corpus driver
-//===----------------------------------------------------------------------===//
-
-CorpusReport AnalysisEngine::analyzeCorpusLinked(
-    std::vector<corpus::CorpusInput> Inputs,
-    std::chrono::steady_clock::time_point Start) {
-  CorpusReport Report;
-  Report.Files.resize(Inputs.size());
-
-  const sched::ResultCache::Stats Before = beginCacheRun();
-  ensureSummaryDb();
   const uint64_t Salt = cacheSalt(Opts, detectorNames());
   const unsigned MaxRounds = Opts.MaxSummaryRounds ? Opts.MaxSummaryRounds : 8;
 
@@ -1426,11 +1315,11 @@ CorpusReport AnalysisEngine::analyzeCorpusLinked(
     sched::parallelFor(*Pool, N, Fn);
   };
 
-  // Phase A: read and fingerprint every analyzable input and take its link
-  // facts — from the facts section of its module blob when the cache has
-  // one, so a warm run decodes nothing here. Only link-clean modules (parse
-  // without recovery, verifier pass) join the link; the rest take the
-  // per-file pipeline in phase C so their recovery/skip reporting is
+  // Phase A (linked runs): read and fingerprint every analyzable input and
+  // take its link facts — from the facts section of its module blob when
+  // the cache has one, so a warm run decodes nothing here. Only link-clean
+  // modules (parse without recovery, verifier pass) join the link; the rest
+  // take the per-file path in phase C so their recovery/skip reporting is
   // byte-identical to a per-file run. A module is decoded (or parsed) only
   // when phase C misses its report or the solver has to summarize it.
   struct LinkSource {
@@ -1439,19 +1328,22 @@ CorpusReport AnalysisEngine::analyzeCorpusLinked(
     std::optional<analysis::ModuleFacts> Facts;
     std::optional<mir::Module> M; ///< Materialized on demand.
   };
-  std::vector<LinkSource> Mods(Inputs.size());
+  std::vector<LinkSource> Mods(Linked ? Inputs.size() : 0);
   std::atomic<unsigned> Decodes{0};
-  RunParallel(Inputs.size(), [&](size_t I) {
-    if (!Inputs[I].SkipReason.empty())
-      return;
-    std::optional<std::string> Source = readSourceFile(Inputs[I].Path);
-    if (!Source)
-      return;
-    LinkSource &L = Mods[I];
-    L.Source = std::move(*Source);
-    L.Fp = fingerprintSource(L.Source);
-    L.Facts = linkFactsFor(L.Source, Inputs[I].Path, L.Fp, &L.M, &Decodes);
-  });
+  if (Linked) {
+    ensureSummaryDb();
+    RunParallel(Inputs.size(), [&](size_t I) {
+      if (!Inputs[I].SkipReason.empty())
+        return;
+      std::optional<std::string> Source = readSourceFile(Inputs[I].Path);
+      if (!Source)
+        return;
+      LinkSource &L = Mods[I];
+      L.Source = std::move(*Source);
+      L.Fp = fingerprintSource(L.Source);
+      L.Facts = linkFactsFor(L.Source, Inputs[I].Path, L.Fp, &L.M, &Decodes);
+    });
+  }
   auto Materialize = [&](size_t I) -> const mir::Module * {
     LinkSource &L = Mods[I];
     if (!L.M)
@@ -1460,52 +1352,56 @@ CorpusReport AnalysisEngine::analyzeCorpusLinked(
   };
 
   // Phase B: link. Facts enter in input order — the determinism anchor the
-  // first-definition-wins rule and the shard fleet both key on.
+  // first-definition-wins rule and the shard fleet both key on. A per-file
+  // run links nothing and skips the solver.
   std::vector<analysis::ModuleFacts> Facts;
   std::vector<size_t> LinkInput; // Module index -> input ordinal.
   std::vector<uint32_t> InputModule(Inputs.size(), UINT32_MAX);
-  for (size_t I = 0; I != Inputs.size(); ++I)
+  for (size_t I = 0; I != Mods.size(); ++I)
     if (Mods[I].Facts) {
       InputModule[I] = static_cast<uint32_t>(Facts.size());
       Facts.push_back(std::move(*Mods[I].Facts));
       LinkInput.push_back(I);
     }
 
-  analysis::LinkOptions LO;
-  LO.MaxSummaryRounds = MaxRounds;
-  analysis::LinkDbHooks Hooks;
-  if (SummaryDbPtr) {
-    Hooks.Lookup = [this](uint64_t K) { return SummaryDbPtr->lookup(K); };
-    Hooks.Store = [this](uint64_t K, std::string_view P) {
-      SummaryDbPtr->store(K, P);
-    };
-  }
-  // Each module index appears once per round and rounds run one after
-  // another, so every task owns its LinkSource slot.
-  analysis::SummarizeRoundFn Summarize =
-      [&](const std::vector<uint32_t> &ModuleIdxs,
-          const analysis::ExternalSummaries &Env) {
-        std::vector<analysis::ModuleSummaries> Out(ModuleIdxs.size());
-        RunParallel(ModuleIdxs.size(), [&](size_t I) {
-          uint32_t MIdx = ModuleIdxs[I];
-          Out[I].ModuleIdx = MIdx;
-          try {
-            const mir::Module *M = Materialize(LinkInput[MIdx]);
-            if (!M)
-              throw std::runtime_error("module no longer loads cleanly");
-            Out[I] = analysis::summarizeLinkedModule(*M, MIdx, Env, MaxRounds);
-          } catch (...) {
-            // Contained: this module contributes nothing this round and
-            // its summaries are never persisted.
-            Out[I].Functions.clear();
-            Out[I].Complete = false;
-          }
-        });
-        return Out;
+  analysis::LinkResult LR;
+  if (Linked) {
+    analysis::LinkOptions LO;
+    LO.MaxSummaryRounds = MaxRounds;
+    analysis::LinkDbHooks Hooks;
+    if (SummaryDbPtr) {
+      Hooks.Lookup = [this](uint64_t K) { return SummaryDbPtr->lookup(K); };
+      Hooks.Store = [this](uint64_t K, std::string_view P) {
+        SummaryDbPtr->store(K, P);
       };
-
-  analysis::LinkResult LR = analysis::solveLink(
-      analysis::LinkedCorpus::build(std::move(Facts)), LO, Hooks, Summarize);
+    }
+    // Each module index appears once per round and rounds run one after
+    // another, so every task owns its LinkSource slot.
+    analysis::SummarizeRoundFn Summarize =
+        [&](const std::vector<uint32_t> &ModuleIdxs,
+            const analysis::ExternalSummaries &Env) {
+          std::vector<analysis::ModuleSummaries> Out(ModuleIdxs.size());
+          RunParallel(ModuleIdxs.size(), [&](size_t I) {
+            uint32_t MIdx = ModuleIdxs[I];
+            Out[I].ModuleIdx = MIdx;
+            try {
+              const mir::Module *M = Materialize(LinkInput[MIdx]);
+              if (!M)
+                throw std::runtime_error("module no longer loads cleanly");
+              Out[I] =
+                  analysis::summarizeLinkedModule(*M, MIdx, Env, MaxRounds);
+            } catch (...) {
+              // Contained: this module contributes nothing this round and
+              // its summaries are never persisted.
+              Out[I].Functions.clear();
+              Out[I].Complete = false;
+            }
+          });
+          return Out;
+        };
+    LR = analysis::solveLink(analysis::LinkedCorpus::build(std::move(Facts)),
+                             LO, Hooks, Summarize);
+  }
 
   // Phase C: analyze every file. Linked files consume the converged
   // environment (their detectors see callee summaries from other files)
@@ -1522,10 +1418,8 @@ CorpusReport AnalysisEngine::analyzeCorpusLinked(
       return;
     }
     LinkSource &L = Mods[I];
-    uint64_t Digest = LR.Corpus.linkDigest(InputModule[I]);
-    uint64_t Key = cacheKey(L.Fp, Salt);
-    if (Digest != 0)
-      Key = fnv1a64U64(Digest, Key);
+    uint64_t Key =
+        reportKey(L.Fp, Salt, LR.Corpus.linkDigest(InputModule[I]));
     if (Cache)
       if (std::optional<std::string> Payload = Cache->lookup(Key))
         if (std::optional<FileReport> R =
@@ -1557,16 +1451,43 @@ CorpusReport AnalysisEngine::analyzeCorpusLinked(
   Report.Stats.WallMs = std::chrono::duration<double, std::milli>(
                             std::chrono::steady_clock::now() - Start)
                             .count();
-  Report.Stats.LinkEnabled = true;
-  Report.Stats.LinkedFiles = static_cast<unsigned>(LinkInput.size());
-  Report.Stats.LinkRounds = LR.Stats.Rounds;
-  Report.Stats.ModulesFromSummaryDb = LR.Stats.ModulesFromDb;
-  Report.Stats.SummaryDbHits = LR.Stats.DbHits;
-  Report.Stats.SummaryDbMisses = LR.Stats.DbMisses;
-  Report.Stats.SummaryDbStores = LR.Stats.DbStores;
-  Report.Stats.ModulesUnreferenced = LR.Stats.ModulesUnreferenced;
-  Report.Stats.ModulesDecoded = Decodes.load();
+  if (Linked) {
+    Report.Stats.LinkEnabled = true;
+    Report.Stats.LinkedFiles = static_cast<unsigned>(LinkInput.size());
+    Report.Stats.LinkRounds = LR.Stats.Rounds;
+    Report.Stats.ModulesFromSummaryDb = LR.Stats.ModulesFromDb;
+    Report.Stats.SummaryDbHits = LR.Stats.DbHits;
+    Report.Stats.SummaryDbMisses = LR.Stats.DbMisses;
+    Report.Stats.SummaryDbStores = LR.Stats.DbStores;
+    Report.Stats.ModulesUnreferenced = LR.Stats.ModulesUnreferenced;
+    Report.Stats.ModulesDecoded = Decodes.load();
+  }
   return Report;
+}
+
+sched::ResultCache::Stats AnalysisEngine::beginCacheRun() {
+  ensureCache();
+  if (!Cache)
+    return {};
+  sched::ResultCache::Stats Before = Cache->stats();
+  Cache->openPack();
+  return Before;
+}
+
+void AnalysisEngine::endCacheRun(const sched::ResultCache::Stats &Before,
+                                 RunStats &Out) {
+  Out.InProcess = true;
+  Out.CacheEnabled = Cache != nullptr;
+  if (!Cache)
+    return;
+  Cache->writePack();
+  sched::ResultCache::Stats After = Cache->stats();
+  Out.CacheHits = After.Hits - Before.Hits;
+  Out.CacheMisses = After.Misses - Before.Misses;
+  Out.CacheEvictions = After.Evictions - Before.Evictions;
+  Out.DiskHits = After.DiskHits - Before.DiskHits;
+  Out.CorruptEntries = After.CorruptEntries - Before.CorruptEntries;
+  Out.PackHits = After.PackHits - Before.PackHits;
 }
 
 //===----------------------------------------------------------------------===//

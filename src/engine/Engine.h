@@ -197,7 +197,7 @@ size_t applyBaseline(CorpusReport &Report, const diag::Baseline &B);
 enum class WholeProgramMode {
   Auto, ///< Link when the corpus has more than one analyzable file.
   On,   ///< Always link.
-  Off,  ///< Strictly per-file (the historical pipeline).
+  Off,  ///< Resolve nothing: every file takes the per-file path.
 };
 
 /// Engine configuration. Zeros mean unlimited (the fail-fast pipeline's
@@ -309,22 +309,19 @@ public:
   /// analyzes fresh (no cache) — the cached path is analyzeCorpus.
   FileReport analyzeFile(const std::string &Path);
 
-  /// Reads and analyzes one file through the result cache (the same path
-  /// analyzeCorpus takes per file). This is the worker-mode entry point:
-  /// a shard worker streams one of these per input so the supervisor can
-  /// checkpoint and attribute failures file-by-file.
-  FileReport analyzeFileThroughCache(const std::string &Path);
-
-  /// analyzeFileThroughCache against a whole-program link environment: the
-  /// detectors resolve extern callees through \p Env, and \p LinkDigest
-  /// (the file's LinkedCorpus::linkDigest) is folded into the report cache
-  /// key so cross-file changes invalidate this file's entry. The sharded
-  /// analyze phase drives this; in-process linked runs take the same code
-  /// path with the module already in memory.
+  /// Reads and analyzes one file through the result cache: the path
+  /// analyzeCorpus gives each file, and the shard worker's entry point (a
+  /// worker streams one of these per input so the supervisor can checkpoint
+  /// and attribute failures file-by-file). A file that joined a whole-
+  /// program link passes the link environment \p Env, against which its
+  /// detectors resolve extern callees, and its LinkedCorpus::linkDigest
+  /// \p LinkDigest, which is folded into the report cache key so cross-file
+  /// changes invalidate its entry. A file that resolves nothing passes
+  /// neither.
   FileReport
-  analyzeFileThroughCacheLinked(const std::string &Path,
-                                const analysis::ExternalSummaries &Env,
-                                uint64_t LinkDigest);
+  analyzeFileThroughCache(const std::string &Path,
+                          const analysis::ExternalSummaries *Env = nullptr,
+                          uint64_t LinkDigest = 0);
 
   /// Link facts for one file: straight from the facts section of its
   /// module blob when the cache holds one, else snapshot-or-parse + verify
@@ -356,11 +353,16 @@ public:
 
   /// Analyzes every path, never aborting the batch. Directories expand to
   /// their .mir files (recursively, in sorted order); a directory with no
-  /// .mir files yields one Skipped entry. Files run as parallel tasks on a
-  /// work-stealing pool (EngineOptions::Jobs), each inside the containment
-  /// boundary; results are merged in input order, so the report renders
-  /// byte-identically for any job count. Clean per-file results are served
-  /// from / stored into the content-addressed result cache.
+  /// .mir files yields one Skipped entry. One pipeline serves both modes:
+  /// a whole-program run reads every file and takes its link facts (phase
+  /// A), solves the link (phase B), and analyzes every file against the
+  /// converged environment (phase C); a per-file run is the same pipeline
+  /// resolving nothing — it skips A and B, and phase C gives every file the
+  /// plain cached path. Files run as parallel tasks on a work-stealing pool
+  /// (EngineOptions::Jobs), each inside the containment boundary; results
+  /// are merged in input order, so the report renders byte-identically for
+  /// any job count. Clean results are served from / stored into the
+  /// content-addressed result cache.
   CorpusReport analyzeCorpus(const std::vector<std::string> &Paths);
 
   /// Historical name for analyzeCorpus.
@@ -394,9 +396,19 @@ private:
                                bool StoreSnapshot, uint64_t SnapKey,
                                uint64_t Fingerprint,
                                const analysis::ExternalSummaries *Ext);
+  /// Reads \p Path and runs analyzeSourceCached; unreadable files are
+  /// Skipped.
   FileReport analyzeFileCached(const std::string &Path, uint64_t Salt,
                                const analysis::ExternalSummaries *Ext = nullptr,
                                uint64_t LinkDigest = 0);
+  /// The one cached analysis of a source: a report hit under the key of
+  /// (fingerprint, \p Salt, \p LinkDigest), else detectors over the module
+  /// decoded from its snapshot blob, else a parse that stores the snapshot.
+  /// Only clean (Ok) reports are stored.
+  FileReport analyzeSourceCached(std::string_view Source,
+                                 const std::string &Path, uint64_t Salt,
+                                 const analysis::ExternalSummaries *Ext,
+                                 uint64_t LinkDigest);
   /// The link facts of \p Source (fingerprint \p Fp, corpus path \p Path):
   /// from its module blob's facts section when intact — no decode — else
   /// from the module, decoded from the blob's snapshot or parsed + verified,
@@ -415,15 +427,10 @@ private:
                                                const std::string &Path,
                                                uint64_t Fp,
                                                std::atomic<unsigned> *Decodes);
-  /// The linked corpus driver behind analyzeCorpus (whole-program mode).
-  CorpusReport
-  analyzeCorpusLinked(std::vector<corpus::CorpusInput> Inputs,
-                      std::chrono::steady_clock::time_point Start);
   /// Brackets one in-process corpus run on the result cache:
   /// beginCacheRun snapshots the counters and opens the pack; endCacheRun
   /// writes the pack and fills \p Out's cache fields with the run's
-  /// deltas (and marks it InProcess). Only analyzeCorpus's two drivers use
-  /// the pack.
+  /// deltas (and marks it InProcess). Only analyzeCorpus uses the pack.
   sched::ResultCache::Stats beginCacheRun();
   void endCacheRun(const sched::ResultCache::Stats &Before, RunStats &Out);
   void ensureCache();

@@ -34,6 +34,13 @@
 ///  - Checkpoint/resume: completed files are journaled (CheckpointJournal)
 ///    so an interrupted run resumes where it left off.
 ///
+/// A whole-program run puts the link step's facts and summarize phases in
+/// front of the analyze phase. All three run on one fleet loop under this
+/// ladder; a phase supplies only what to do with an accepted result and
+/// with an item that exhausts its retries (analyze: quarantine it; link
+/// phases: drop its result, so the file is analyzed per-file or its
+/// module is unchanged that round).
+///
 /// Shard outputs flow through the same ordinal-merge + finalize() path as
 /// the in-process driver, so `--json`/SARIF output is byte-identical
 /// across any `--shards`/`--jobs` count, cache temperature, and any
@@ -126,12 +133,16 @@ uint64_t journalSalt(const EngineOptions &Opts,
                      const std::vector<std::string> &DetectorNames,
                      bool Linked);
 
-/// The hidden `rustsight worker` entry point: reads "<ordinal>\t<path>"
-/// lines from stdin until EOF, analyzes each file through the result
-/// cache, and streams one length-prefixed JSON frame per file followed by
-/// a "done" frame on stdout (the wire protocol in docs/RESILIENCE.md).
-/// Degraded/skipped statuses are also logged to stderr so the supervisor
-/// can surface fault causes. Returns the process exit code.
+/// The hidden `rustsight worker` entry point: reads a mode preamble line
+/// ({"mode":"facts"|"summarize"|"analyze"}, with the link environment
+/// where the mode needs one) and then "<ordinal>\t<aux>\t<path>" lines
+/// from stdin until EOF. It handles each item in that mode — link facts,
+/// one summarize round, or analysis through the result cache — and
+/// streams one length-prefixed JSON frame per item, then a "done" frame
+/// carrying its result-cache counters, on stdout (the wire protocol in
+/// docs/RESILIENCE.md). Degraded/skipped statuses are also logged to
+/// stderr so the supervisor can surface fault causes. Returns the process
+/// exit code (3 for a malformed feed).
 int runWorker(const EngineOptions &Opts);
 
 } // namespace rs::engine

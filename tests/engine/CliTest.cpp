@@ -1,8 +1,8 @@
 //===----------------------------------------------------------------------===//
 //
-// Smoke tests for the `rustsight` command line: an unknown `check` or
-// `serve` flag is a usage error (exit 2, nothing on stdout), never an input
-// path that leaves the run looking normal.
+// Smoke tests for the `rustsight` command line: an unknown flag is a usage
+// error for every subcommand (exit 2, nothing on stdout), never an input
+// path or a dropped argument that leaves the run looking normal.
 //
 //===----------------------------------------------------------------------===//
 
@@ -43,6 +43,26 @@ TEST(Cli, UnknownServeFlagIsAUsageError) {
   ASSERT_TRUE(R.Spawned) << R.Error;
   EXPECT_EQ(R.Exit.Code, 2);
   EXPECT_NE(R.Stderr.find("unknown option '--debounce=5'"), std::string::npos)
+      << R.Stderr;
+}
+
+TEST(Cli, MisspelledFuzzFlagIsAUsageError) {
+  // --fuzz-iter (sic) once fell through and the run spent the default
+  // 1,000 candidates, exiting 0.
+  proc::RunResult R = runCli({"fuzz", "--fuzz-iter", "5"});
+  ASSERT_TRUE(R.Spawned) << R.Error;
+  EXPECT_EQ(R.Exit.Code, 2);
+  EXPECT_TRUE(R.Stdout.empty()) << R.Stdout;
+  EXPECT_NE(R.Stderr.find("unknown option '--fuzz-iter'"), std::string::npos)
+      << R.Stderr;
+}
+
+TEST(Cli, UnknownGenFlagIsAUsageError) {
+  proc::RunResult R = runCli({"gen", "--bogus", "--sweep", "3"});
+  ASSERT_TRUE(R.Spawned) << R.Error;
+  EXPECT_EQ(R.Exit.Code, 2);
+  EXPECT_TRUE(R.Stdout.empty()) << R.Stdout;
+  EXPECT_NE(R.Stderr.find("unknown option '--bogus'"), std::string::npos)
       << R.Stderr;
 }
 

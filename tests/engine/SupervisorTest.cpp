@@ -356,3 +356,52 @@ TEST(Supervisor, LinkedShardsReapExitedWorkersWithoutIdlePolls) {
   }
 }
 
+TEST(Supervisor, FaultedLinkedRunKeepsInnocentCrossFileFindings) {
+  // A cross-file use-after-free pair plus a clean victim sorted after it.
+  // Every link phase runs under the analyze phase's ladder: a victim that
+  // poisons a facts or summarize attempt is isolated by retry and
+  // bisection, so the pair keeps its facts — the caller's RS-UAF-001
+  // survives, whatever the worker count.
+  fs::path Dir = fs::path(testing::TempDir()) / "sup_linked_victim";
+  fs::remove_all(Dir);
+  fs::create_directories(Dir);
+  const fs::path Eval = fs::path(RS_REPO_ROOT) / "examples" / "mir" / "eval";
+  for (const char *Name :
+       {"xfile_uaf_bug_0_def.mir", "xfile_uaf_bug_0_use.mir"})
+    fs::copy_file(Eval / Name, Dir / Name);
+  std::ofstream(Dir / "z_victim.mir") << CleanSrcA;
+
+  EngineOptions Opts;
+  Opts.Jobs = 1;
+  Opts.UseCache = false;
+  CorpusReport Clean = AnalysisEngine(Opts).analyzeCorpus({Dir.string()});
+  ASSERT_TRUE(Clean.Stats.LinkEnabled);
+  ASSERT_EQ(Clean.totalFindings(), 1u) << Clean.renderText();
+
+  for (const char *Site :
+       {"engine.worker.garbage-output", "engine.worker.crash"}) {
+    ScopedWorkerFault Fault(Site, "z_victim.mir");
+    for (unsigned Workers : {1u, 4u}) {
+      SupervisorOptions SO = baseOptions(/*Shards=*/0);
+      SO.MaxWorkers = Workers;
+      CorpusReport R = Supervisor(std::move(SO)).run({Dir.string()});
+      ASSERT_EQ(R.Files.size(), Clean.Files.size());
+      for (size_t I = 0; I != R.Files.size(); ++I) {
+        if (R.Files[I].Path.find("z_victim.mir") != std::string::npos) {
+          EXPECT_NE(R.Files[I].Reason.find("quarantined after 3"),
+                    std::string::npos)
+              << Site << " workers=" << Workers;
+          continue;
+        }
+        EXPECT_EQ(serializeWireFileReport(R.Files[I]),
+                  serializeWireFileReport(Clean.Files[I]))
+            << Site << " workers=" << Workers << " " << R.Files[I].Path;
+      }
+      const FileReport *Use = findFile(R, "xfile_uaf_bug_0_use.mir");
+      ASSERT_NE(Use, nullptr);
+      ASSERT_EQ(Use->Findings.size(), 1u) << Site << " workers=" << Workers;
+      EXPECT_STREQ(diag::ruleStringId(Use->Findings[0].Kind), "RS-UAF-001");
+      EXPECT_EQ(R.exitCode(), 1) << Site << " workers=" << Workers;
+    }
+  }
+}

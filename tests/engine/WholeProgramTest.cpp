@@ -633,16 +633,26 @@ TEST(WholeProgram, FleetAndInProcessRunsShareACacheDir) {
   CorpusReport R = Fleet(CacheDir);
   EXPECT_EQ(R.renderJson(), Want);
   // The fleet measures neither decodes nor pack hits, so its stats line
-  // leaves them out; it does count unreferenced modules.
+  // leaves them out; it does count unreferenced modules. Its cache
+  // counters are its workers' own, summed: cold, every report misses.
   std::string Line = R.Stats.renderLine();
   EXPECT_EQ(Line.find("decoded"), std::string::npos) << Line;
   EXPECT_EQ(Line.find("from pack"), std::string::npos) << Line;
   EXPECT_NE(Line.find(" unreferenced"), std::string::npos) << Line;
+  EXPECT_NE(Line.find("cache: 0 hit(s), 4 miss(es)"), std::string::npos)
+      << Line;
   EXPECT_FALSE(fs::exists(CacheDir / sched::ResultCache::packFileName()));
+  // Warm, every report hits — from disk, since each worker starts empty.
+  const RunStats WarmFleet = Fleet(CacheDir).Stats;
+  EXPECT_EQ(WarmFleet.CacheHits, 4u) << WarmFleet.renderLine();
+  EXPECT_EQ(WarmFleet.CacheMisses, 0u) << WarmFleet.renderLine();
+  EXPECT_EQ(WarmFleet.DiskHits, 4u) << WarmFleet.renderLine();
   R = InProcess(CacheDir);
   EXPECT_EQ(R.renderJson(), Want);
   EXPECT_GT(R.Stats.DiskHits, 0u) << R.Stats.renderLine();
   EXPECT_EQ(R.Stats.CacheMisses, 0u) << R.Stats.renderLine();
+  // A warm fleet and a warm in-process run count the same lookups.
+  EXPECT_EQ(R.Stats.CacheHits, WarmFleet.CacheHits) << R.Stats.renderLine();
   R = InProcess(CacheDir);
   EXPECT_EQ(R.renderJson(), Want);
   EXPECT_GT(R.Stats.PackHits, 0u);
@@ -658,7 +668,10 @@ TEST(WholeProgram, FleetAndInProcessRunsShareACacheDir) {
   fs::remove_all(CacheDir);
   EXPECT_EQ(InProcess(CacheDir).renderJson(), Want);
   const size_t Loose = looseEntriesIn(CacheDir);
-  EXPECT_EQ(Fleet(CacheDir).renderJson(), Want);
+  R = Fleet(CacheDir);
+  EXPECT_EQ(R.renderJson(), Want);
+  EXPECT_EQ(R.Stats.CacheHits, 0u) << R.Stats.renderLine();
+  EXPECT_EQ(R.Stats.CacheMisses, 4u) << R.Stats.renderLine();
   // Cold: its workers stored every report and snapshot as loose entries.
   EXPECT_GT(looseEntriesIn(CacheDir), Loose);
 }
